@@ -15,7 +15,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, SchemaError
 from .executor import ToolCall
 
 
@@ -73,6 +73,8 @@ class ScriptedBackend:
         """Load canned turns: one JSON object per line, keyed by turn order.
 
         Each line: {"content": str | null, "tool_calls": [{"name", "arguments"}]}.
+        Malformed JSON, a line that is not an object, or a tool call without
+        a name raises SchemaError naming the 1-based line.
         """
         turns = []
         with open(path, encoding="utf-8") as fh:
@@ -80,14 +82,22 @@ class ScriptedBackend:
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"script line {turn_idx + 1} is not valid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"script line {turn_idx + 1} is not a JSON object")
+                tool_calls = obj.get("tool_calls") or []
+                if not all(isinstance(tc, dict) and "name" in tc for tc in tool_calls):
+                    raise SchemaError(f"script line {turn_idx + 1}: every tool call needs a name")
                 calls = tuple(
                     ToolCall(
                         call_id=f"call_{turn_idx}_{i}",
                         name=tc["name"],
                         arguments=tc.get("arguments", {}),
                     )
-                    for i, tc in enumerate(obj.get("tool_calls", []))
+                    for i, tc in enumerate(tool_calls)
                 ) or None
                 turns.append(ChatMessage(role="assistant", content=obj.get("content"), tool_calls=calls))
         return cls(turns=turns)

@@ -79,7 +79,8 @@ def _backend_factory(cfg: RunConfig):
     if cfg.backend == "remote":
         backend = HttpChatBackend(cfg.endpoint, cfg.model, api_key_env=cfg.api_key_env)
         return lambda: backend
-    return lambda: ScriptedBackend.from_jsonl(cfg.script)
+    turns = ScriptedBackend.from_jsonl(cfg.script).turns  # read once: a bad script fails before any session
+    return lambda: ScriptedBackend(turns=turns)
 
 
 def _run_session(paradigm, backend, registry, question, seq, cfg: RunConfig, session_id):
@@ -122,7 +123,7 @@ def ask(question, sequence, sequence_file, paradigm, config_path, run_dir, **ove
         registry = _load_registry(cfg)
         backend = _backend_factory(cfg)()
         result = _run_session(paradigm, backend, registry, question, seq, cfg, "ask")
-    except ProtAgentError as exc:
+    except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
     os.makedirs(os.path.join(cfg.run_dir, "traces"), exist_ok=True)
     trace_path = os.path.join(cfg.run_dir, "traces", "ask.json")
@@ -150,7 +151,7 @@ def bench(paradigm, cases_path, config_path, run_dir, workers, **overrides):
         cases = evaluation.load_benchmark(cases_path)
         registry = _load_registry(cfg)
         new_backend = _backend_factory(cfg)
-    except ProtAgentError as exc:
+    except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
 
     def run_case(case):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     EmptyLibraryError,
@@ -39,7 +40,6 @@ from .errors import (
 from .seq import CANONICAL_RESIDUES, Sequence
 
 RESIDUE_ORDER = tuple(sorted(CANONICAL_RESIDUES))
-_RES_INDEX = {r: i for i, r in enumerate(RESIDUE_ORDER)}
 _LN2 = math.log(2)
 
 TRANSITION_ORDER = ("MM", "MI", "MD", "IM", "II", "DM", "DD")
@@ -71,7 +71,7 @@ class ProfileHmm:
                 )
             for k, row in enumerate(rows, start=1):
                 total = sum(math.exp(-v) for v in row)
-                if abs(total - 1.0) > 1e-6:
+                if not abs(total - 1.0) <= 1e-6:  # also rejects NaN
                     raise MalformedProfileError(
                         f"profile {self.name!r}: {label} emissions at node {k} sum to {total}, not 1"
                     )
@@ -79,6 +79,35 @@ class ProfileHmm:
             raise TruncatedProfileError(
                 f"profile {self.name!r}: {len(self.transitions)} transition rows for length {self.model_length}"
             )
+        # Viterbi relies on every score being finite or -inf: no NaN, no +inf.
+        for k, row in enumerate(self.transitions, start=1):
+            if not all(v > -math.inf for v in row):
+                raise MalformedProfileError(f"profile {self.name!r}: transition at node {k} is NaN or -inf")
+        if len(self.background) != 20 or not all(0.0 < f < math.inf for f in self.background):
+            raise MalformedProfileError(f"profile {self.name!r}: background needs 20 positive finite frequencies")
+
+    @cached_property
+    def score_tables(self):
+        """Log-odds scores in bits, built on the first scan and kept.
+
+        Returns (match, insert, steps). match and insert map each residue
+        letter (X scores 0) to its per-node scores; steps[k - 1] holds the
+        transition scores node k's Viterbi cells read: MM, IM, DM, MD, DD out
+        of node k - 1 (-inf for the first node), then MI, II out of node k.
+        """
+        log_bg = [math.log(f) for f in self.background]
+
+        def row_scores(rows, idx):
+            return [-math.inf if math.isinf(row[idx]) else (-row[idx] - log_bg[idx]) / _LN2 for row in rows]
+
+        match = {res: row_scores(self.match_emissions, idx) for idx, res in enumerate(RESIDUE_ORDER)}
+        insert = {res: row_scores(self.insert_emissions, idx) for idx, res in enumerate(RESIDUE_ORDER)}
+        match["X"] = insert["X"] = [0.0] * self.model_length
+        trans = [tuple(-math.inf if math.isinf(v) else -v / _LN2 for v in row) for row in self.transitions]
+        MM, MI, MD, IM, II, DM, DD = range(7)
+        before = [(-math.inf,) * 7] + trans[:-1]
+        steps = [(p[MM], p[IM], p[DM], p[MD], p[DD], t[MI], t[II]) for p, t in zip(before, trans)]
+        return match, insert, steps
 
 
 @dataclass(frozen=True)
@@ -244,113 +273,85 @@ def write_hmm_library(profiles: list[ProfileHmm]) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def _log_odds_tables(hmm: ProfileHmm):
-    """Per-node log2(emission/background) score rows; X scores 0."""
-    bg = hmm.background
-    match_scores = []
-    insert_scores = []
-    for k in range(hmm.model_length):
-        m_row, i_row = {}, {}
-        for idx, res in enumerate(RESIDUE_ORDER):
-            em = hmm.match_emissions[k][idx]
-            m_row[res] = -math.inf if math.isinf(em) else (-em - math.log(bg[idx])) / _LN2
-            ei = hmm.insert_emissions[k][idx]
-            i_row[res] = -math.inf if math.isinf(ei) else (-ei - math.log(bg[idx])) / _LN2
-        m_row["X"] = 0.0
-        i_row["X"] = 0.0
-        match_scores.append(m_row)
-        insert_scores.append(i_row)
-    trans_scores = [
-        tuple(-math.inf if math.isinf(v) else -v / _LN2 for v in row) for row in hmm.transitions
-    ]
-    return match_scores, insert_scores, trans_scores
-
-
 def viterbi_score(hmm: ProfileHmm, seq: Sequence):
     """Best local path through the profile, scored in bits over background.
 
     A path enters at any match state and exits from any match state (free
     entry/exit), may pass through insert and delete states in between, and
     must score above zero to count. Returns (bits, hmm_from, hmm_to,
-    ali_from, ali_to) or None for no hit. Ties break on smallest ali_from.
+    ali_from, ali_to) or None for no hit. Ties break on the highest bits,
+    then the smallest (ali_from, hmm_from), then the first end cell in
+    row-major (residue, node) order.
     """
-    match_s, insert_s, trans_s = _log_odds_tables(hmm)
-    res = seq.residues
-    L, n = hmm.model_length, len(res)
+    match_rows, insert_rows, steps = hmm.score_tables
+    width = hmm.model_length + 1
     neg = -math.inf
-    MM, MI, MD, IM, II, DM, DD = range(7)
+    # The previous row's cells at nodes 1..L: scores, and origins encoded as
+    # ali_from * width + hmm_from, so comparing ints compares (ali_from, hmm_from).
+    # Dead cells score -inf; the fresh entry at 0.0 is always live, so a dead
+    # predecessor can never win a comparison.
+    dead = [neg] * hmm.model_length
+    pm = pi = pd = dead
+    pmo = pio = pdo = [0] * hmm.model_length
+    best, best_from, best_end = 0.0, 0, 0
+    for j, c in enumerate(seq.residues, 1):
+        vm, vmo, vi, vio, vd, vdo = [], [], [], [], [], []
+        # Node k-1 of the previous row (M: a, I: b, D: d) and of this row (M: m, D: e).
+        a = b = d = m = e = neg
+        ao = bo = do = mo = eo = 0
+        cell = j * width
+        for sm, si, (tmm, tim, tdm, tmd, tdd, tmi, tii), x, xo, y, yo, z, zo in zip(
+            match_rows[c], insert_rows[c], steps, pm, pmo, pi, pio, pd, pdo
+        ):
+            cell += 1
+            # M_k: a fresh entry, or M/I/D at node k-1 of the previous row.
+            s, o = 0.0, cell
+            v = a + tmm
+            if v >= s and (v > s or ao < o):
+                s, o = v, ao
+            v = b + tim
+            if v >= s and (v > s or bo < o):
+                s, o = v, bo
+            v = d + tdm
+            if v >= s and (v > s or do < o):
+                s, o = v, do
+            s += sm
+            vm.append(s)
+            vmo.append(o)
+            if s >= best and (s > best or o < best_from):
+                best, best_from, best_end = s, o, cell
+            # I_k: M or I at node k of the previous row.
+            v, vo = x + tmi, xo
+            w = y + tii
+            if w >= v and (w > v or yo < vo):
+                v, vo = w, yo
+            vi.append(v + si)
+            vio.append(vo)
+            # D_k: M or D at node k-1 of this row (silent).
+            v, vo = m + tmd, mo
+            w = e + tdd
+            if w >= v and (w > v or eo < vo):
+                v, vo = w, eo
+            vd.append(v)
+            vdo.append(vo)
+            # Shift node k into the k-1 slots; single stores beat tuple swaps here.
+            a = x
+            ao = xo
+            b = y
+            bo = yo
+            d = z
+            do = zo
+            m = s
+            mo = o
+            e = v
+            eo = vo
+        pm, pmo, pi, pio, pd, pdo = vm, vmo, vi, vio, vd, vdo
 
-    # Cells carry (score, ali_from, hmm_from); comparisons maximize score
-    # and on ties minimize ali_from then hmm_from.
-    dead = (neg, 0, 0)
-
-    def better(x, y):
-        if x[0] != y[0]:
-            return x if x[0] > y[0] else y
-        return x if (x[1], x[2]) <= (y[1], y[2]) else y
-
-    vm_prev = [dead] * (L + 1)
-    vi_prev = [dead] * (L + 1)
-    vd_prev = [dead] * (L + 1)
-    best = dead
-    best_end = None
-    for j in range(1, n + 1):
-        c = res[j - 1]
-        vm = [dead] * (L + 1)
-        vi = [dead] * (L + 1)
-        vd = [dead] * (L + 1)
-        for k in range(1, L + 1):
-            em = match_s[k - 1][c]
-            cand = (0.0, j, k)  # fresh entry at M_k
-            if k > 1:
-                t = trans_s[k - 2]
-                prev = vm_prev[k - 1]
-                if prev[0] > neg and t[MM] > neg:
-                    cand = better(cand, (prev[0] + t[MM], prev[1], prev[2]))
-                prev = vi_prev[k - 1]
-                if prev[0] > neg and t[IM] > neg:
-                    cand = better(cand, (prev[0] + t[IM], prev[1], prev[2]))
-                prev = vd_prev[k - 1]
-                if prev[0] > neg and t[DM] > neg:
-                    cand = better(cand, (prev[0] + t[DM], prev[1], prev[2]))
-            if em > neg:
-                vm[k] = (cand[0] + em, cand[1], cand[2])
-                if (
-                    best_end is None
-                    or vm[k][0] > best[0]
-                    or (vm[k][0] == best[0] and (vm[k][1], vm[k][2]) < (best[1], best[2]))
-                ):
-                    best = vm[k]
-                    best_end = (k, j)
-            # insert state I_k (emits, stays at node k)
-            ei = insert_s[k - 1][c]
-            t = trans_s[k - 1]
-            ic = dead
-            prev = vm_prev[k]
-            if prev[0] > neg and t[MI] > neg:
-                ic = better(ic, (prev[0] + t[MI], prev[1], prev[2]))
-            prev = vi_prev[k]
-            if prev[0] > neg and t[II] > neg:
-                ic = better(ic, (prev[0] + t[II], prev[1], prev[2]))
-            if ic[0] > neg and ei > neg:
-                vi[k] = (ic[0] + ei, ic[1], ic[2])
-            # delete state D_k (silent, same j)
-            if k > 1:
-                t = trans_s[k - 2]
-                dc = dead
-                prev = vm[k - 1]
-                if prev[0] > neg and t[MD] > neg:
-                    dc = better(dc, (prev[0] + t[MD], prev[1], prev[2]))
-                prev = vd[k - 1]
-                if prev[0] > neg and t[DD] > neg:
-                    dc = better(dc, (prev[0] + t[DD], prev[1], prev[2]))
-                vd[k] = dc
-        vm_prev, vi_prev, vd_prev = vm, vi, vd
-
-    if best_end is None or best[0] <= 0.0:
+    if not best_end:
         return None
-    hmm_to, ali_to = best_end
-    return (best[0], best[2], hmm_to, best[1], ali_to)
+    ali_from, hmm_from = divmod(best_from, width)
+    ali_to, hmm_to = divmod(best_end, width)
+    return (best, hmm_from, hmm_to, ali_from, ali_to)
 
 
 def select_domains(

@@ -113,23 +113,42 @@ def rougeL_recall(reference: str, prediction: str) -> float:
 
 
 def load_benchmark(path: str) -> list[QaCase]:
-    """One JSON object per line: case_id, task, question, sequence, reference_answer."""
+    """One JSON object per line: case_id, task, question, sequence, reference_answer.
+
+    Malformed JSON, a line that is not an object, a missing field, a
+    non-string case_id and a repeated case_id all raise SchemaError naming
+    the 1-based line.
+    """
     cases = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"benchmark line {line_no} is not valid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise SchemaError(f"benchmark line {line_no} is not a JSON object")
             missing = [k for k in ("case_id", "task", "question", "sequence", "reference_answer") if k not in obj]
             if missing:
                 raise SchemaError(f"benchmark line {line_no}: missing field(s) {', '.join(missing)}")
+            case_id = obj["case_id"]
+            if not isinstance(case_id, str):
+                raise SchemaError(f"benchmark line {line_no}: case_id must be a string, got {case_id!r}")
+            if case_id in first_line:
+                raise SchemaError(
+                    f"benchmark line {line_no}: duplicate case_id {case_id!r} (first on line {first_line[case_id]})"
+                )
+            first_line[case_id] = line_no
             cases.append(
                 QaCase(
-                    case_id=obj["case_id"],
+                    case_id=case_id,
                     task=obj["task"],
                     question=obj["question"],
-                    sequence=validate_sequence(obj["case_id"], obj["sequence"]),
+                    sequence=validate_sequence(case_id, obj["sequence"]),
                     reference_answer=obj["reference_answer"],
                 )
             )

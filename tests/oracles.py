@@ -166,6 +166,93 @@ def brute_viterbi_bits(hmm: ProfileHmm, residues: str):
     return best[0]
 
 
+def reference_viterbi(hmm: ProfileHmm, residues: str):
+    """Local Viterbi over explicit (score, ali_from, hmm_from) tuple cells.
+
+    The straightforward formulation the production kernel must match
+    exactly: same bits, same coordinates, same tie-breaks (max bits, then
+    min (ali_from, hmm_from), then the first end cell in row-major order).
+    Dead cells are guarded explicitly rather than relying on -inf
+    arithmetic. Returns (bits, hmm_from, hmm_to, ali_from, ali_to) or None.
+    """
+    match_s, insert_s, trans_s = _profile_scores(hmm)
+    L, n = hmm.model_length, len(residues)
+    neg = -math.inf
+    MM, MI, MD, IM, II, DM, DD = range(7)
+
+    # Cells carry (score, ali_from, hmm_from); comparisons maximize score
+    # and on ties minimize ali_from then hmm_from.
+    dead = (neg, 0, 0)
+
+    def better(x, y):
+        if x[0] != y[0]:
+            return x if x[0] > y[0] else y
+        return x if (x[1], x[2]) <= (y[1], y[2]) else y
+
+    vm_prev = [dead] * (L + 1)
+    vi_prev = [dead] * (L + 1)
+    vd_prev = [dead] * (L + 1)
+    best = dead
+    best_end = None
+    for j in range(1, n + 1):
+        c = residues[j - 1]
+        vm = [dead] * (L + 1)
+        vi = [dead] * (L + 1)
+        vd = [dead] * (L + 1)
+        for k in range(1, L + 1):
+            em = match_s[k - 1][c]
+            cand = (0.0, j, k)  # fresh entry at M_k
+            if k > 1:
+                t = trans_s[k - 2]
+                prev = vm_prev[k - 1]
+                if prev[0] > neg and t[MM] > neg:
+                    cand = better(cand, (prev[0] + t[MM], prev[1], prev[2]))
+                prev = vi_prev[k - 1]
+                if prev[0] > neg and t[IM] > neg:
+                    cand = better(cand, (prev[0] + t[IM], prev[1], prev[2]))
+                prev = vd_prev[k - 1]
+                if prev[0] > neg and t[DM] > neg:
+                    cand = better(cand, (prev[0] + t[DM], prev[1], prev[2]))
+            if em > neg:
+                vm[k] = (cand[0] + em, cand[1], cand[2])
+                if (
+                    best_end is None
+                    or vm[k][0] > best[0]
+                    or (vm[k][0] == best[0] and (vm[k][1], vm[k][2]) < (best[1], best[2]))
+                ):
+                    best = vm[k]
+                    best_end = (k, j)
+            # insert state I_k (emits, stays at node k)
+            ei = insert_s[k - 1][c]
+            t = trans_s[k - 1]
+            ic = dead
+            prev = vm_prev[k]
+            if prev[0] > neg and t[MI] > neg:
+                ic = better(ic, (prev[0] + t[MI], prev[1], prev[2]))
+            prev = vi_prev[k]
+            if prev[0] > neg and t[II] > neg:
+                ic = better(ic, (prev[0] + t[II], prev[1], prev[2]))
+            if ic[0] > neg and ei > neg:
+                vi[k] = (ic[0] + ei, ic[1], ic[2])
+            # delete state D_k (silent, same j)
+            if k > 1:
+                t = trans_s[k - 2]
+                dc = dead
+                prev = vm[k - 1]
+                if prev[0] > neg and t[MD] > neg:
+                    dc = better(dc, (prev[0] + t[MD], prev[1], prev[2]))
+                prev = vd[k - 1]
+                if prev[0] > neg and t[DD] > neg:
+                    dc = better(dc, (prev[0] + t[DD], prev[1], prev[2]))
+                vd[k] = dc
+        vm_prev, vi_prev, vd_prev = vm, vi, vd
+
+    if best_end is None or best[0] <= 0.0:
+        return None
+    hmm_to, ali_to = best_end
+    return (best[0], best[2], hmm_to, best[1], ali_to)
+
+
 def random_profile(rng, name: str, model_length: int) -> ProfileHmm:
     """A structurally valid random profile with normalized rows."""
 

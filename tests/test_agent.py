@@ -18,7 +18,7 @@ from protagent.agent import (
     trace_from_json,
 )
 from protagent.backends import ChatMessage, ScriptedBackend
-from protagent.errors import BackendError
+from protagent.errors import BackendError, SchemaError
 from protagent.executor import SessionLimits, ToolCall
 
 
@@ -238,6 +238,28 @@ def test_backend_error_mid_session(registry, mscl_seq):
     result = run_tool_agent(scripted(assistant(tool_calls=(call,))), registry, "Q?", mscl_seq)
     assert result.stop_reason == "backend_error"
     assert result.tool_calls_made == 1  # work before the failure is preserved
+
+
+def test_scripted_backend_malformed_line_names_line(tmp_path):
+    path = tmp_path / "script.jsonl"
+    path.write_text('{"content": "a"}\n\n{"content": \n')
+    with pytest.raises(SchemaError) as exc:
+        ScriptedBackend.from_jsonl(str(path))
+    assert "line 3" in str(exc.value)
+    for line in ('"just a string"', '{"tool_calls": [{"arguments": {}}]}'):
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError, match="line 1"):
+            ScriptedBackend.from_jsonl(str(path))
+
+
+def test_scripted_call_ids_follow_file_lines(tmp_path):
+    path = tmp_path / "script.jsonl"
+    call = {"name": "seq_basic_props", "arguments": {"sequence_ref": "query"}}
+    path.write_text(json.dumps({"tool_calls": [call, call]}) + "\n\n" + json.dumps({"tool_calls": [call]}) + "\n")
+    backend = ScriptedBackend.from_jsonl(str(path))
+    assert [[c.call_id for c in t.tool_calls] for t in backend.turns] == [["call_0_0", "call_0_1"], ["call_2_0"]]
+    path.write_text('{"content": "done", "tool_calls": null}\n')  # the shape chat APIs return
+    assert ScriptedBackend.from_jsonl(str(path)).turns[0].tool_calls is None
 
 
 def test_scripted_backend_exhaustion_raises():

@@ -140,6 +140,46 @@ def test_bench_rag_paradigm(runner, tmp_path):
     assert all(c["tool_calls_made"] == 0 for c in report["cases"])
 
 
+def bench_args(cases, script, run_dir):
+    return [
+        "bench",
+        "--paradigm", "tool_agent",
+        "--cases", str(cases),
+        "--backend", "scripted",
+        "--script", str(script),
+        "--run-dir", str(run_dir),
+    ] + store_args()
+
+
+def test_bench_rejects_duplicate_case_ids(runner, tmp_path):
+    with open(data_path("cases.jsonl"), encoding="utf-8") as fh:
+        first = fh.readline()
+    cases = tmp_path / "dup.jsonl"
+    cases.write_text(first + first)
+    result = runner.invoke(main, bench_args(cases, data_path("replay.jsonl"), tmp_path / "run"))
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert "duplicate case_id 'mscl-1'" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_bench_rejects_malformed_script(runner, tmp_path):
+    script = tmp_path / "script.jsonl"
+    script.write_text('{"content": \n')
+    result = runner.invoke(main, bench_args(data_path("cases.jsonl"), script, tmp_path / "run"))
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "script line 1 is not valid JSON" in result.output
+
+
+def test_bench_missing_cases_file(runner, tmp_path):
+    result = runner.invoke(main, bench_args(tmp_path / "absent.jsonl", data_path("replay.jsonl"), tmp_path / "run"))
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "absent.jsonl" in result.output
+
+
 def test_index_build_and_reuse(runner, tmp_path):
     out = tmp_path / "store.json"
     result = runner.invoke(

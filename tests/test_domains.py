@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import data_path
-from oracles import brute_viterbi_bits, random_profile
+from conftest import MSCL_RESIDUES, data_path
+from oracles import brute_viterbi_bits, random_profile, reference_viterbi
 from protagent.domains import (
     DomainHit,
     ProfileHmm,
@@ -148,6 +148,233 @@ def test_x_scores_zero_log_odds():
     hmm = random_profile(rng, "XP", 1)
     got = viterbi_score(hmm, seq("X"))
     assert got is None  # a single X entry scores exactly 0, not above
+
+
+# --- kernel vs reference ----------------------------------------------------
+
+
+def neg_ln(probs):
+    return tuple(math.inf if p == 0.0 else -math.log(p) for p in probs)
+
+
+def normalized(weights):
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def profile_from_probs(name, match_rows, insert_rows, trans_rows):
+    return ProfileHmm(
+        name=name,
+        accession="PF00000.1",
+        description="kernel test profile",
+        model_length=len(match_rows),
+        match_emissions=tuple(neg_ln(r) for r in match_rows),
+        insert_emissions=tuple(neg_ln(r) for r in insert_rows),
+        transitions=tuple(neg_ln(r) for r in trans_rows),
+    )
+
+
+UNIFORM_ROW = [1.0 / 20] * 20
+
+
+def tie_heavy_profile(rng, name, length):
+    """Profile whose every score is a whole number of bits, so equal-scoring paths are common.
+
+    Against the uniform background, emission probabilities 0.05, 0.2 and 0.4
+    score exactly 0, 2 and 3 bits, and transition probabilities 1, 0.5 and
+    0.25 score exactly 0, -1 and -2 bits: path sums are exact, and paths
+    through different cells tie exactly.
+    """
+
+    def emission_row():
+        kind = rng.random()
+        if kind < 0.4:
+            return UNIFORM_ROW
+        levels = [0.2] * 4 + [0.05] * 4 if kind < 0.7 else [0.4] + [0.2] * 2 + [0.05] * 4
+        row = levels + [0.0] * (20 - len(levels))
+        rng.shuffle(row)
+        return row
+
+    def transition_row():
+        out_of_match = rng.choice([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+        return out_of_match + rng.choice([[0.5, 0.5], [1.0, 0.0]]) + rng.choice([[0.5, 0.5], [1.0, 0.0]])
+
+    match_rows = [emission_row() for _ in range(length)]
+    insert_rows = [emission_row() for _ in range(length)]
+    trans_rows = [transition_row() for _ in range(length)]
+    return profile_from_probs(name, match_rows, insert_rows, trans_rows)
+
+
+def starred_profile(rng, name, length):
+    """Random profile with zero-probability ('*') emissions and transitions."""
+
+    def row(size, zeros):
+        weights = [rng.random() + 0.05 for _ in range(size)]
+        for i in rng.sample(range(size), zeros):
+            weights[i] = 0.0
+        return normalized(weights)
+
+    trans_rows = []
+    for _ in range(length):
+        mm = row(3, rng.choice((0, 1, 2)))
+        im = row(2, rng.choice((0, 1)))
+        dm = row(2, rng.choice((0, 1)))
+        trans_rows.append(mm + im + dm)
+    return profile_from_probs(
+        name,
+        [row(20, rng.randint(1, 19)) for _ in range(length)],
+        [row(20, rng.randint(0, 19)) for _ in range(length)],
+        trans_rows,
+    )
+
+
+def peaked_profile(rng, name, length):
+    """One favoured residue per match node, like a real domain family."""
+    consensus = "".join(rng.choice(CANONICAL_RESIDUES) for _ in range(length))
+    match_rows = [
+        normalized([12.0 if r == c else 1.0 for r in sorted(CANONICAL_RESIDUES)]) for c in consensus
+    ]
+    trans = [0.9, 0.05, 0.05, 0.6, 0.4, 0.7, 0.3]
+    return profile_from_probs(name, match_rows, [UNIFORM_ROW] * length, [trans] * length), consensus
+
+
+def assert_kernel_matches_reference(hmm, res):
+    got = viterbi_score(hmm, seq(res))
+    expected = reference_viterbi(hmm, res)
+    # exact equality: same float bits and all four coordinates
+    assert got == expected, (hmm.name, res, got, expected)
+    return got
+
+
+def test_viterbi_equals_reference_on_random_profiles():
+    rng = random.Random(2024)
+    alphabet = CANONICAL_RESIDUES + "X"
+    hits = 0
+    for trial in range(2000):
+        hmm = random_profile(rng, f"E{trial}", rng.randint(1, 8))
+        res = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+        hits += assert_kernel_matches_reference(hmm, res) is not None
+    assert 500 < hits < 2000
+
+
+def test_viterbi_equals_reference_on_tie_heavy_profiles():
+    rng = random.Random(31)
+    hits = 0
+    for trial in range(400):
+        hmm = tie_heavy_profile(rng, f"T{trial}", rng.randint(1, 8))
+        letters = rng.sample(CANONICAL_RESIDUES, 4) + ["X"]
+        res = "".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+        hits += assert_kernel_matches_reference(hmm, res) is not None
+    assert hits > 100
+
+
+def test_viterbi_equals_reference_with_zero_probabilities():
+    rng = random.Random(37)
+    hits = 0
+    for trial in range(400):
+        hmm = starred_profile(rng, f"S{trial}", rng.randint(1, 8))
+        assert any(math.isinf(v) for row in hmm.match_emissions for v in row)
+        res = "".join(rng.choice(CANONICAL_RESIDUES + "X") for _ in range(rng.randint(1, 12)))
+        hits += assert_kernel_matches_reference(hmm, res) is not None
+    assert hits > 100
+
+
+def test_viterbi_equals_reference_on_bundled_library(hmm_library):
+    for hmm in hmm_library:
+        assert_kernel_matches_reference(hmm, MSCL_RESIDUES)
+
+
+def test_viterbi_equals_reference_on_peaked_profiles():
+    rng = random.Random(41)
+    for trial in range(4):
+        hmm, consensus = peaked_profile(rng, f"K{trial}", rng.randint(30, 80))
+        n = rng.randint(80, 250)
+        res = "".join(rng.choice(CANONICAL_RESIDUES) for _ in range(n))
+        at = rng.randint(0, n - len(consensus))
+        planted = res[:at] + consensus + res[at + len(consensus):]
+        assert_kernel_matches_reference(hmm, planted)
+        assert_kernel_matches_reference(hmm, res)
+
+
+def row_with(probs):
+    """Emission row with the given probabilities by letter, the rest spread evenly."""
+    others = [r for r in sorted(CANONICAL_RESIDUES) if r not in probs]
+    rest = (1.0 - sum(probs.values())) / len(others)
+    return [probs.get(r, rest) for r in sorted(CANONICAL_RESIDUES)]
+
+
+def test_viterbi_tie_breaks_inside_insert_and_delete_states():
+    # Against the uniform background, probabilities 0.2, 0.4 and 0.8 score
+    # exactly 2, 3 and 4 bits; transitions 0.5 and 0.25 score -1 and -2.
+    # Insert tie: on "ACCD", I_1 at residue 3 is reached equally (1 bit)
+    # from M_1 at residue 2 (origin 2,1) and from I_1 at residue 2 (origin
+    # 1,1); the smaller origin carries on to the best cell M_2 at residue 4.
+    insert_tie = profile_from_probs(
+        "InsTie",
+        [row_with({"A": 0.4, "C": 0.2}), row_with({"D": 0.8})],
+        [UNIFORM_ROW] * 2,
+        [[0.25, 0.5, 0.25, 0.5, 0.5, 0.5, 0.5]] * 2,
+    )
+    assert viterbi_score(insert_tie, seq("ACCD")) == (4.0, 1, 2, 1, 4)
+    # Delete tie: on "AA", D_3 at residue 1 is reached equally (0 bits)
+    # through D_2 from M_1 (origin 1,1) and straight from M_2 (origin 1,2);
+    # M_4 at residue 2 then ties the fresh M_4 at residue 1 on 3 bits and
+    # wins on the smaller origin.
+    delete_tie = profile_from_probs(
+        "DelTie",
+        [row_with({"A": 0.2}), row_with({"A": 0.2}), row_with({"A": 0.0}), row_with({"A": 0.4})],
+        [UNIFORM_ROW] * 4,
+        [
+            [0.25, 0.25, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [0.5, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5],
+            [0.5, 0.25, 0.25, 0.5, 0.5, 1.0, 0.0],
+            [0.5, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5],
+        ],
+    )
+    assert viterbi_score(delete_tie, seq("AA")) == (3.0, 1, 4, 1, 2)
+    assert_kernel_matches_reference(insert_tie, "ACCD")
+    assert_kernel_matches_reference(delete_tie, "AA")
+
+
+def test_score_tables_are_built_on_first_scan_and_kept():
+    fresh = parse_hmm_library(library_text())
+    assert all("score_tables" not in p.__dict__ for p in fresh)
+    scan(fresh, seq(MSCL_RESIDUES))
+    tables = [p.score_tables for p in fresh]
+    scan(fresh, seq(MSCL_RESIDUES))
+    assert all(p.score_tables is t for p, t in zip(fresh, tables))
+    assert fresh == parse_hmm_library(library_text())  # the cache is not part of equality
+
+
+def test_profile_rejects_scores_viterbi_cannot_use():
+    rng = random.Random(43)
+    p = random_profile(rng, "N", 2)
+    fields = dict(
+        name="N",
+        accession="PF1.1",
+        description="",
+        model_length=2,
+        match_emissions=p.match_emissions,
+        insert_emissions=p.insert_emissions,
+        transitions=p.transitions,
+    )
+    nan_row = (math.nan,) + p.match_emissions[0][1:]
+    for bad in (
+        {"match_emissions": (nan_row, p.match_emissions[1])},
+        {"transitions": (p.transitions[0], (math.nan,) + p.transitions[1][1:])},
+        {"transitions": (p.transitions[0], (-math.inf,) + p.transitions[1][1:])},
+        {"background": (0.0,) + tuple([1.0 / 19] * 19)},
+    ):
+        with pytest.raises(MalformedProfileError):
+            ProfileHmm(**{**fields, **bad})
+
+
+def test_parse_rejects_zero_background_frequency():
+    text = library_text()
+    head, compo_and_rest = text.split("COMPO", 1)
+    first_value = compo_and_rest.split()[0]
+    with pytest.raises(MalformedProfileError):
+        parse_hmm_library(head + "COMPO" + compo_and_rest.replace(first_value, "*", 1))
 
 
 # --- selection and scan -----------------------------------------------------

@@ -124,6 +124,38 @@ def test_case_requires_reference(tmp_path):
         load_benchmark(str(path))
 
 
+def case_row(case_id):
+    return {"case_id": case_id, "task": "t", "question": "q", "sequence": "MLKV", "reference_answer": "r"}
+
+
+def test_load_benchmark_malformed_json_names_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(case_row("a")) + "\n\n" + '{"case_id": "b", "task": \n')
+    with pytest.raises(SchemaError) as exc:
+        load_benchmark(str(path))
+    assert "line 3" in str(exc.value)
+    assert "not valid JSON" in str(exc.value)
+
+
+def test_load_benchmark_rejects_non_object_line_and_non_string_id(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for line in ("[1, 2]", json.dumps({**case_row("a"), "case_id": 5})):
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError, match="line 1"):
+            load_benchmark(str(path))
+
+
+def test_load_benchmark_rejects_duplicate_case_id(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    rows = [case_row("a"), case_row("b"), case_row("a")]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(SchemaError) as exc:
+        load_benchmark(str(path))
+    message = str(exc.value)
+    assert "'a'" in message
+    assert "line 3" in message and "line 1" in message
+
+
 # --- run scoring ------------------------------------------------------------
 
 
