@@ -154,18 +154,28 @@ class HttpChatBackend:
             message = data["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"unexpected chat completion shape: {exc}") from exc
+        if not isinstance(message, dict):
+            raise BackendError(f"chat completion message is not an object: {message!r}")
+        if not isinstance(message.get("content"), (str, type(None))):
+            raise BackendError(f"chat completion content is not a string: {message['content']!r}")
         calls = None
         if message.get("tool_calls"):
             parsed = []
             for tc in message["tool_calls"]:
+                function = tc.get("function", {}) if isinstance(tc, dict) else None
+                if not isinstance(function, dict):
+                    raise BackendError(f"tool call is not an object with a 'function' object: {tc!r}")
+                raw = function.get("arguments")
+                if raw is not None and not isinstance(raw, str):
+                    raise BackendError(f"tool call arguments must be a JSON string, got {raw!r}")
                 try:
-                    arguments = json.loads(tc["function"]["arguments"] or "{}")
+                    arguments = json.loads(function["arguments"] or "{}")
                 except (KeyError, json.JSONDecodeError):
-                    arguments = {"__malformed__": tc.get("function", {}).get("arguments")}
+                    arguments = {"__malformed__": raw}
                 parsed.append(
                     ToolCall(
                         call_id=tc.get("id", f"call_{len(parsed)}"),
-                        name=tc.get("function", {}).get("name", ""),
+                        name=function.get("name", ""),
                         arguments=arguments,
                     )
                 )

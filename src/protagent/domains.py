@@ -28,7 +28,7 @@ probability zero. Unrecognized header keys are ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import (
@@ -125,19 +125,7 @@ class DomainHit:
     desc: str
 
     def to_payload(self) -> dict:
-        return {
-            "pfam_id": self.pfam_id,
-            "pfam_acc": self.pfam_acc,
-            "query": self.query,
-            "evalue": self.evalue,
-            "score": self.score,
-            "hmm_from": self.hmm_from,
-            "hmm_to": self.hmm_to,
-            "ali_from": self.ali_from,
-            "ali_to": self.ali_to,
-            "coverage_query": self.coverage_query,
-            "desc": self.desc,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -177,8 +165,8 @@ def parse_hmm_library(text: str) -> list[ProfileHmm]:
         i += 1
         header: dict[str, str] = {}
         while i < n and lines[i].split() and lines[i].split()[0] != "HMM":
-            fields = lines[i].split(None, 1)
-            header[fields[0]] = fields[1].strip() if len(fields) > 1 else ""
+            parts = lines[i].split(None, 1)
+            header[parts[0]] = parts[1].strip() if len(parts) > 1 else ""
             i += 1
         if i >= n:
             raise ProfileParseError(f"record {header.get('NAME', '?')!r}: missing HMM section")

@@ -116,8 +116,9 @@ def load_benchmark(path: str) -> list[QaCase]:
     """One JSON object per line: case_id, task, question, sequence, reference_answer.
 
     Malformed JSON, a line that is not an object, a missing field, a
-    non-string case_id and a repeated case_id all raise SchemaError naming
-    the 1-based line.
+    non-string case_id, a case_id that is not a safe file name (traces are
+    written to `traces/<case_id>.json`) and a repeated case_id all raise
+    SchemaError naming the 1-based line.
     """
     cases = []
     first_line: dict[str, int] = {}
@@ -138,6 +139,8 @@ def load_benchmark(path: str) -> list[QaCase]:
             case_id = obj["case_id"]
             if not isinstance(case_id, str):
                 raise SchemaError(f"benchmark line {line_no}: case_id must be a string, got {case_id!r}")
+            if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
+                raise SchemaError(f"benchmark line {line_no}: case_id {case_id!r} is not a safe file name")
             if case_id in first_line:
                 raise SchemaError(
                     f"benchmark line {line_no}: duplicate case_id {case_id!r} (first on line {first_line[case_id]})"

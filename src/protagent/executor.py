@@ -4,13 +4,16 @@ Every invocation returns a ToolResponse; handler exceptions, timeouts,
 unknown tools, and exhausted call budgets all become ok=False envelopes
 with `error_kind` and `message` fields, never raised exceptions. The
 session audit log records one entry per invocation, in order.
+
+Handlers run on the calling thread. The timeout is checked when the
+handler returns, against the session clock, and is not preemptive: a
+handler that overruns `timeout_s` runs to completion, and its result is
+then replaced by a `timeout` envelope.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -138,6 +141,8 @@ def resolve_arguments(registry: ToolRegistry, call: ToolCall, ctx: SessionContex
     descriptor = registry.get(call.name)
     if descriptor is None:
         raise ResolutionError("unknown_tool", f"no tool named {call.name!r}")
+    if not isinstance(call.arguments, dict):
+        raise ResolutionError("invalid_arguments", f"arguments must be an object, got {call.arguments!r}")
     args = dict(call.arguments)
     if "sequence_ref" in args and "sequence" in args:
         raise ResolutionError("ambiguous_argument", "both 'sequence' and 'sequence_ref' given")
@@ -190,20 +195,21 @@ def _invoke_inner(registry: ToolRegistry, call: ToolCall, ctx: SessionContext) -
         return _error_response(call, exc.error_kind, str(exc))
     descriptor = registry.get(call.name)
     start = ctx.clock()
+    failure = None
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            payload = pool.submit(descriptor.handler, args, ctx).result(timeout=ctx.limits.timeout_s)
-    except FutureTimeoutError:
-        return _error_response(
-            call, "timeout", f"tool {call.name!r} exceeded {ctx.limits.timeout_s}s", ctx.clock() - start
-        )
+        payload = descriptor.handler(args, ctx)
     except NotSupportedError as exc:
-        return _error_response(call, "not_supported", str(exc), ctx.clock() - start)
+        failure = ("not_supported", str(exc))
     except ProtAgentError as exc:
-        return _error_response(call, "tool_error", str(exc), ctx.clock() - start)
+        failure = ("tool_error", str(exc))
     except Exception as exc:  # handler bugs become envelopes, not crashes
-        return _error_response(call, "tool_error", f"{type(exc).__name__}: {exc}", ctx.clock() - start)
-    return ToolResponse(call_id=call.call_id, ok=True, payload=payload, elapsed=ctx.clock() - start)
+        failure = ("tool_error", f"{type(exc).__name__}: {exc}")
+    elapsed = ctx.clock() - start
+    if elapsed > ctx.limits.timeout_s:
+        failure = ("timeout", f"tool {call.name!r} exceeded {ctx.limits.timeout_s}s")
+    if failure is not None:
+        return _error_response(call, *failure, elapsed)
+    return ToolResponse(call_id=call.call_id, ok=True, payload=payload, elapsed=elapsed)
 
 
 _SEQ_PARAMS = {

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .blosum62 import BLOSUM62
 from .errors import EmptyIndexError, MissingAnnotationError, SchemaError
-from .seq import Sequence, parse_fasta
+from .seq import Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
 
@@ -49,35 +48,23 @@ class AnnotationRecord:
         if not self.accessions:
             raise SchemaError("annotation record requires at least one accession")
 
+    # Every field but protein_name (annotated "str") is a tuple of strings,
+    # written as a JSON list.
     def to_payload(self) -> dict:
         return {
-            "accessions": list(self.accessions),
-            "protein_name": self.protein_name,
-            "function": list(self.function),
-            "catalytic_activity": list(self.catalytic_activity),
-            "ec": list(self.ec),
-            "cofactor": list(self.cofactor),
-            "subcellular_location": list(self.subcellular_location),
-            "go": list(self.go),
+            f.name: getattr(self, f.name) if f.type == "str" else list(getattr(self, f.name))
+            for f in fields(self)
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "AnnotationRecord":
-        try:
-            accessions = tuple(obj["accessions"])
-            protein_name = obj["protein_name"]
-        except KeyError as exc:
-            raise SchemaError(f"annotation record missing field {exc}") from exc
-        return cls(
-            accessions=accessions,
-            protein_name=protein_name,
-            function=tuple(obj.get("function", ())),
-            catalytic_activity=tuple(obj.get("catalytic_activity", ())),
-            ec=tuple(obj.get("ec", ())),
-            cofactor=tuple(obj.get("cofactor", ())),
-            subcellular_location=tuple(obj.get("subcellular_location", ())),
-            go=tuple(obj.get("go", ())),
-        )
+        values = {}
+        for f in fields(cls):
+            if f.name in obj:
+                values[f.name] = obj[f.name] if f.type == "str" else tuple(obj[f.name])
+            elif f.default is MISSING:
+                raise SchemaError(f"annotation record missing field {f.name!r}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -110,14 +97,7 @@ class BestHit:
     bits: float
 
     def to_payload(self) -> dict:
-        return {
-            "query": self.query,
-            "target": self.target,
-            "pident": self.pident,
-            "alnlen": self.alnlen,
-            "evalue": self.evalue,
-            "bits": self.bits,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -311,7 +291,6 @@ def search_best_hit(
     query: Sequence,
     min_seq_id: float = DEFAULT_MIN_SEQ_ID,
     kmer_hit_threshold: int = DEFAULT_KMER_HIT_THRESHOLD,
-    workers: int = 1,
 ) -> BestHit | None:
     """Best hit by (lowest E-value, highest bits, lexicographic accession)."""
     if not index.entries:
@@ -342,11 +321,7 @@ def search_best_hit(
         )
         return (ev, -bits, entry.accession, hit)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranked = [r for r in pool.map(align_one, ordinals) if r is not None]
-    else:
-        ranked = [r for r in map(align_one, ordinals) if r is not None]
+    ranked = [r for r in map(align_one, ordinals) if r is not None]
     if not ranked:
         return None
     ranked.sort(key=lambda t: t[:3])
@@ -399,8 +374,6 @@ def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
 
 def load_built_store(path: str) -> list[ReferenceEntry]:
     """Load a store written by save_built_store."""
-    from .seq import validate_sequence
-
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if "entries" not in obj:

@@ -57,15 +57,12 @@ class FastaRecord:
 def validate_sequence(seq_id: str, raw: str) -> Sequence:
     """Normalize raw residue text into a Sequence.
 
-    Uppercases and strips all whitespace. Rejects anything outside the
-    20-letter alphabet plus X.
+    Uppercases and strips all whitespace. Sequence rejects anything outside
+    the 20-letter alphabet plus X.
     """
     cleaned = "".join(raw.split()).upper()
     if not cleaned:
         raise EmptySequenceError(f"sequence {seq_id!r} is empty after stripping whitespace")
-    for c in cleaned:
-        if c not in ALPHABET:
-            raise InvalidResidueError(f"invalid residue {c!r} in sequence {seq_id!r}", char=c)
     return Sequence(id=seq_id, residues=cleaned)
 
 
@@ -93,7 +90,7 @@ def parse_fasta(text: str) -> list[FastaRecord]:
         body = "".join(chunks)
         if not body:
             raise EmptySequenceError(f"FASTA record {seq_id!r} has an empty body")
-        records.append(FastaRecord(header=trimmed, sequence=validate_sequence(seq_id, body)))
+        records.append(FastaRecord(header=trimmed, sequence=Sequence(seq_id, body)))
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\r")

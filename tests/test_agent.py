@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import data_path
-from protagent import agent
+from protagent import agent, backends
 from protagent.agent import (
     RAG_TOOL_ORDER,
     extract_answer,
@@ -17,7 +17,7 @@ from protagent.agent import (
     save_trace,
     trace_from_json,
 )
-from protagent.backends import ChatMessage, ScriptedBackend
+from protagent.backends import ChatMessage, DecodingParams, HttpChatBackend, ScriptedBackend
 from protagent.errors import BackendError, SchemaError
 from protagent.executor import SessionLimits, ToolCall
 
@@ -288,3 +288,53 @@ def test_deterministic_traces(registry, mscl_seq):
     t1 = json.dumps(run().trace.to_json(), sort_keys=True)
     t2 = json.dumps(run().trace.to_json(), sort_keys=True)
     assert t1 == t2
+
+
+# --- remote backend response parsing (requests.post is replaced; no network) --
+
+
+class _Reply:
+    def __init__(self, body):
+        self._body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self._body
+
+
+def http_backend(monkeypatch, message) -> HttpChatBackend:
+    monkeypatch.setenv("PROTAGENT_API_KEY", "test-key")
+    reply = _Reply({"choices": [{"message": message}]})
+    monkeypatch.setattr(backends.requests, "post", lambda *args, **kwargs: reply)
+    return HttpChatBackend("http://localhost/v1/chat/completions", "test-model")
+
+
+def http_tool_call(arguments):
+    return {"id": "c0", "type": "function", "function": {"name": "seq_basic_props", "arguments": arguments}}
+
+
+def test_http_backend_parses_tool_calls(monkeypatch):
+    message = {
+        "content": None,
+        "tool_calls": [http_tool_call('{"sequence_ref": "query"}'), http_tool_call("{not json"), http_tool_call(None)],
+    }
+    turn = http_backend(monkeypatch, message).complete([], None, DecodingParams())
+    assert [tc.arguments for tc in turn.tool_calls] == [{"sequence_ref": "query"}, {"__malformed__": "{not json"}, {}]
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        "not an object",
+        {"content": [{"type": "text", "text": "<answer>x</answer>"}]},
+        {"content": None, "tool_calls": ["not an object"]},
+        {"content": None, "tool_calls": [http_tool_call({"sequence_ref": "query"})]},
+    ],
+)
+def test_http_backend_malformed_message_is_backend_error(monkeypatch, registry, mscl_seq, message):
+    backend = http_backend(monkeypatch, message)
+    with pytest.raises(BackendError):
+        backend.complete([], None, DecodingParams())
+    assert run_tool_agent(backend, registry, "Q?", mscl_seq).stop_reason == "backend_error"

@@ -156,6 +156,16 @@ def test_load_benchmark_rejects_duplicate_case_id(tmp_path):
     assert "line 3" in message and "line 1" in message
 
 
+def test_load_benchmark_rejects_unsafe_case_ids(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for case_id in ("", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"):
+        path.write_text(json.dumps(case_row("ok")) + "\n" + json.dumps(case_row(case_id)) + "\n")
+        with pytest.raises(SchemaError, match="line 2.*not a safe file name"):
+            load_benchmark(str(path))
+    path.write_text("".join(json.dumps(case_row(c)) + "\n" for c in ("mscl-1", "rag-0001", "dom-0001")))
+    assert [c.case_id for c in load_benchmark(str(path))] == ["mscl-1", "rag-0001", "dom-0001"]
+
+
 # --- run scoring ------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -139,6 +140,59 @@ def test_timeout_envelope():
     context = ctx(limits=SessionLimits(timeout_s=0.05))
     resp = invoke(registry, call("slow", {}), context)
     assert resp.payload["error_kind"] == "timeout"
+
+
+def test_handler_runs_on_calling_thread():
+    seen = []
+    registry = ToolRegistry()
+    registry.register(
+        ToolDescriptor(
+            name="where", description="", parameters={}, handler=lambda a, c: seen.append(threading.get_ident())
+        )
+    )
+    assert invoke(registry, call("where", {}), ctx()).ok
+    assert seen == [threading.get_ident()]
+
+
+def test_overrun_then_raise_is_timeout():
+    def slow_boom(args, c):
+        time.sleep(0.1)
+        raise RuntimeError("late failure")
+
+    registry = ToolRegistry()
+    registry.register(ToolDescriptor(name="slow_boom", description="", parameters={}, handler=slow_boom))
+    resp = invoke(registry, call("slow_boom", {}), ctx(limits=SessionLimits(timeout_s=0.05)))
+    assert resp.payload["error_kind"] == "timeout"
+    assert resp.elapsed > 0.05
+
+
+def test_clock_read_twice_per_dispatched_call_only():
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return float(len(reads))
+
+    registry = echo_registry()
+    registry.register(ToolDescriptor(name="boom", description="", parameters={}, handler=lambda a, c: 1 / 0))
+    context = ctx(limits=SessionLimits(max_calls=4), clock=clock)
+    assert invoke(registry, call("echo", {"sequence_ref": "query"}), context).elapsed == 1.0
+    assert len(reads) == 2
+    assert invoke(registry, call("boom", {}), context).payload["error_kind"] == "tool_error"
+    assert len(reads) == 4
+    for name, arguments, kind in [
+        ("nope", {}, "unknown_tool"),
+        ("echo", {"sequence_ref": "ghost"}, "unknown_reference"),
+        ("echo", {"sequence_ref": "query"}, "budget_exhausted"),
+    ]:
+        assert invoke(registry, call(name, arguments), context).payload["error_kind"] == kind
+    assert len(reads) == 4
+
+
+def test_non_object_arguments_envelope():
+    for arguments in ([1, 2], "query", 5):
+        resp = invoke(echo_registry(), call("echo", arguments), ctx())
+        assert resp.payload["error_kind"] == "invalid_arguments"
 
 
 def test_python_eval_not_supported(registry):

@@ -173,10 +173,11 @@ def test_accession_breaks_exact_ties():
     assert hit.target == "A1"
 
 
-def test_workers_do_not_change_result(store_index):
-    mscl = store_index.entries[0].sequence
-    q = Sequence(id="query", residues=mscl.residues)
-    assert search_best_hit(store_index, q, workers=1) == search_best_hit(store_index, q, workers=8)
+def test_best_hit_independent_of_entry_order(store_entries):
+    q = Sequence(id="query", residues=store_entries[0].sequence.residues)
+    forward = search_best_hit(build_index(store_entries), q)
+    assert forward is not None
+    assert search_best_hit(build_index(store_entries[::-1]), q) == forward
 
 
 def test_make_evidence_shape(store_index, store_annotations):
