@@ -73,8 +73,9 @@ class ScriptedBackend:
         """Load canned turns: one JSON object per line, keyed by turn order.
 
         Each line: {"content": str | null, "tool_calls": [{"name", "arguments"}]}.
-        Malformed JSON, a line that is not an object, or a tool call without
-        a name raises SchemaError naming the 1-based line.
+        Malformed JSON, a line that is not an object, content that is neither
+        a string nor null, or a tool call without a name raises SchemaError
+        naming the 1-based line.
         """
         turns = []
         with open(path, encoding="utf-8") as fh:
@@ -88,6 +89,8 @@ class ScriptedBackend:
                     raise SchemaError(f"script line {turn_idx + 1} is not valid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise SchemaError(f"script line {turn_idx + 1} is not a JSON object")
+                if not isinstance(obj.get("content"), (str, type(None))):
+                    raise SchemaError(f"script line {turn_idx + 1}: content must be a string or null")
                 tool_calls = obj.get("tool_calls") or []
                 if not all(isinstance(tc, dict) and "name" in tc for tc in tool_calls):
                     raise SchemaError(f"script line {turn_idx + 1}: every tool call needs a name")

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import click
 
 from . import agent, domains, evaluation, homology
-from .backends import DecodingParams, HttpChatBackend, ScriptedBackend
+from .backends import ChatMessage, DecodingParams, HttpChatBackend, ScriptedBackend
 from .config import RunConfig, build_config
 from .errors import ConfigError, ProtAgentError
 from .executor import SessionContext, SessionLimits, ToolCall, build_standard_registry, invoke
@@ -47,14 +47,12 @@ def _config(config_path, **overrides) -> RunConfig:
 def _read_sequence(sequence: str | None, sequence_file: str | None, seq_id: str = "query") -> Sequence:
     if sequence and sequence_file:
         raise click.ClickException("give either --sequence or --sequence-file, not both")
-    if sequence:
-        return validate_sequence(seq_id, sequence)
     if sequence_file:
         with open(sequence_file, encoding="utf-8") as fh:
-            records = parse_fasta(fh.read())
-        first = records[0].sequence
-        return Sequence(id=seq_id, residues=first.residues)
-    raise click.ClickException("a sequence is required (--sequence or --sequence-file)")
+            sequence = parse_fasta(fh.read())[0].sequence.residues
+    if not sequence:
+        raise click.ClickException("a sequence is required (--sequence or --sequence-file)")
+    return validate_sequence(seq_id, sequence)
 
 
 def _load_registry(cfg: RunConfig):
@@ -192,7 +190,7 @@ def index_build(fasta, annotations, out):
     try:
         entries = homology.load_reference_store(fasta, annotations)
         homology.save_built_store(entries, out)
-    except ProtAgentError as exc:
+    except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {len(entries)} entries to {out}")
 
@@ -215,7 +213,7 @@ def tools_run(tool_name, sequence, sequence_file, min_seq_id, config_path, **ove
     try:
         seq = _read_sequence(sequence, sequence_file)
         registry = _load_registry(cfg)
-    except ProtAgentError as exc:
+    except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
     args = {"sequence_ref": "query"}
     if min_seq_id is not None:
@@ -255,7 +253,7 @@ def synth(cases_path, out, fill, config_path, **overrides):
     try:
         cases = evaluation.load_benchmark(cases_path)
         backend = _backend_factory(cfg)() if fill else None
-    except ProtAgentError as exc:
+    except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
     decoding = DecodingParams(temperature=cfg.temperature, max_tokens=cfg.max_tokens)
     with open(out, "w", encoding="utf-8") as fh:
@@ -263,8 +261,6 @@ def synth(cases_path, out, fill, config_path, **overrides):
             prompt = evaluation.synth_cold_start_prompt(case)
             row = {"case_id": case.case_id, "prompt": prompt}
             if backend is not None:
-                from .backends import ChatMessage
-
                 try:
                     reply = backend.complete([ChatMessage(role="user", content=prompt)], None, decoding)
                     row["completion"] = reply.content

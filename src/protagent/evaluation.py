@@ -15,11 +15,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .agent import SessionResult
-from .errors import AlignmentMismatchError, EmptyReferenceError, SchemaError
+from .errors import AlignmentMismatchError, EmptyReferenceError, ProtAgentError, SchemaError
 from .seq import Sequence, validate_sequence
 from .templates import COLD_START_TEMPLATE
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_CASE_FIELDS = ("case_id", "task", "question", "sequence", "reference_answer")
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,10 @@ def rougeL_recall(reference: str, prediction: str) -> float:
 def load_benchmark(path: str) -> list[QaCase]:
     """One JSON object per line: case_id, task, question, sequence, reference_answer.
 
-    Malformed JSON, a line that is not an object, a missing field, a
-    non-string case_id, a case_id that is not a safe file name (traces are
-    written to `traces/<case_id>.json`) and a repeated case_id all raise
+    Malformed JSON, a line that is not an object, a field that is missing or
+    not a string, a case_id that is not a safe file name (traces are written
+    to `traces/<case_id>.json`), a repeated case_id and a case that fails
+    its own checks (sequence id and residues, nonempty reference) all raise
     SchemaError naming the 1-based line.
     """
     cases = []
@@ -133,12 +135,10 @@ def load_benchmark(path: str) -> list[QaCase]:
                 raise SchemaError(f"benchmark line {line_no} is not valid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise SchemaError(f"benchmark line {line_no} is not a JSON object")
-            missing = [k for k in ("case_id", "task", "question", "sequence", "reference_answer") if k not in obj]
-            if missing:
-                raise SchemaError(f"benchmark line {line_no}: missing field(s) {', '.join(missing)}")
+            bad = [k for k in _CASE_FIELDS if not isinstance(obj.get(k), str)]
+            if bad:
+                raise SchemaError(f"benchmark line {line_no}: field(s) {', '.join(bad)} missing or not strings")
             case_id = obj["case_id"]
-            if not isinstance(case_id, str):
-                raise SchemaError(f"benchmark line {line_no}: case_id must be a string, got {case_id!r}")
             if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
                 raise SchemaError(f"benchmark line {line_no}: case_id {case_id!r} is not a safe file name")
             if case_id in first_line:
@@ -146,15 +146,12 @@ def load_benchmark(path: str) -> list[QaCase]:
                     f"benchmark line {line_no}: duplicate case_id {case_id!r} (first on line {first_line[case_id]})"
                 )
             first_line[case_id] = line_no
-            cases.append(
-                QaCase(
-                    case_id=case_id,
-                    task=obj["task"],
-                    question=obj["question"],
-                    sequence=validate_sequence(case_id, obj["sequence"]),
-                    reference_answer=obj["reference_answer"],
-                )
-            )
+            fields = {k: obj[k] for k in _CASE_FIELDS}
+            try:
+                fields["sequence"] = validate_sequence(case_id, obj["sequence"])
+                cases.append(QaCase(**fields))
+            except ProtAgentError as exc:
+                raise SchemaError(f"benchmark line {line_no}: {exc}") from exc
     return cases
 
 

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 from .blosum62 import BLOSUM62
 from .errors import EmptyIndexError, MissingAnnotationError, SchemaError
@@ -29,6 +30,8 @@ DEFAULT_K = 5
 DEFAULT_MIN_SEQ_ID = 0.3
 DEFAULT_KMER_HIT_THRESHOLD = 2
 DIAGONAL_BAND = 16
+
+_IDENTITY = (1 << 32) + 1  # an identical diagonal step, in smith_waterman's path counts
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class ReferenceIndex:
     k: int
     postings: dict[str, list[tuple[int, int]]] = field(repr=False, default_factory=dict)
 
-    @property
+    @cached_property
     def total_residues(self) -> int:
         return sum(e.sequence.length for e in self.entries)
 
@@ -135,129 +138,82 @@ def build_index(entries: list[ReferenceEntry], k: int = DEFAULT_K) -> ReferenceI
     return ReferenceIndex(entries=entries, k=k, postings=postings)
 
 
-def smith_waterman(
-    a: Sequence,
-    b: Sequence,
-    matrix: dict[tuple[str, str], int] = BLOSUM62,
-    gap_open: int = GAP_OPEN,
-    gap_extend: int = GAP_EXTEND,
-) -> Alignment | None:
+def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
     """Optimal local alignment under affine gaps (Gotoh recurrences).
 
-    A gap of length L costs gap_open + (L-1)*gap_extend. Returns None when
-    no alignment scores above zero. Among equally scoring alignments, the
-    one with the smallest (query_start, target_start) is reported.
+    BLOSUM62 scores; a gap of length L costs GAP_OPEN + (L-1)*GAP_EXTEND.
+    Returns None when no alignment scores above zero.
+
+    One forward pass over two rows: O(len(b)) memory and no traceback. Every
+    H, E and F cell carries the start cell and the counts of its path, the
+    one a traceback from it would follow under these tie rules: in an H
+    cell the diagonal beats E and E beats F on equal scores; a gap opens
+    rather than extends on equal scores; a cell scoring <= 0 is a fresh
+    start, so its diagonal successor starts at itself. Of the best-scoring
+    end cells, the one whose path has the smallest (query_start,
+    target_start) is reported, then the first in row-major order.
     """
-    ra, rb = a.residues, b.residues
-    n, m = len(ra), len(rb)
+    rb = b.residues
+    width = len(rb) + 1
     neg = -(10 ** 9)
-
-    # H: best score ending at (i, j); E: gap in query (consumes b); F: gap in target.
-    h_rows = [[0] * (m + 1)]
-    e_rows = [[neg] * (m + 1)]
-    f_rows = [[neg] * (m + 1)]
-    # Pointers: H cell from 'D'iag / 'E' / 'F' / '0' (fresh start);
-    # E and F cells from 'H' (gap open) or their own state (extend).
-    ph_rows = [["0"] * (m + 1)]
-    pe_rows = [["H"] * (m + 1)]
-    pf_rows = [["H"] * (m + 1)]
-    best = 0
-    ends: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        h_row = [0] * (m + 1)
-        e_row = [neg] * (m + 1)
-        f_row = [neg] * (m + 1)
-        ph_row = ["0"] * (m + 1)
-        pe_row = ["H"] * (m + 1)
-        pf_row = ["H"] * (m + 1)
-        ca = ra[i - 1]
-        prev_h = h_rows[i - 1]
-        prev_f = f_rows[i - 1]
-        for j in range(1, m + 1):
-            e_open = h_row[j - 1] - gap_open
-            e_ext = e_row[j - 1] - gap_extend
-            if e_open >= e_ext:
-                e_row[j] = e_open
+    # Per query letter: substitution scores along b, and the count
+    # increment of a diagonal step (identities * 2**32 + diagonal steps).
+    rows = {
+        c: ([BLOSUM62[(c, d)] for d in rb], [_IDENTITY if c == d else 1 for d in rb])
+        for c in set(a.residues)
+    }
+    # The previous row's H and F cells at columns 1..m: score, start cell
+    # (query_start * width + target_start), counts. Starts and counts of
+    # cells scoring <= 0 are never read, so they hold whatever came last.
+    ph = phs = phc = pfs = pfc = [0] * (width - 1)
+    pf = [neg] * (width - 1)
+    best = best_start = best_end = best_counts = 0
+    for i, c in enumerate(a.residues, 1):
+        sub, step = rows[c]
+        hr, hrs, hrc, fr, frs, frc = [], [], [], [], [], []
+        # H at column j-1 of the previous row (x) and of this row (h); E at j-1.
+        x = xs = xc = h = hs = hc = 0
+        e, es, ec = neg, 0, 0
+        cell = i * width
+        for s, n, y, ys, yc, f, fs, fc in zip(sub, step, ph, phs, phc, pf, pfs, pfc):
+            cell += 1
+            # E: open from H to the left, or extend E.
+            e -= GAP_EXTEND
+            if h - GAP_OPEN >= e:
+                e, es, ec = h - GAP_OPEN, hs, hc
+            # F: open from H above, or extend F.
+            f -= GAP_EXTEND
+            if y - GAP_OPEN >= f:
+                f, fs, fc = y - GAP_OPEN, ys, yc
+            # H: the diagonal, a fresh start when H there is <= 0.
+            h = x + s
+            if x > 0:
+                hs, hc = xs, xc + n
             else:
-                e_row[j] = e_ext
-                pe_row[j] = "E"
-            f_open = prev_h[j] - gap_open
-            f_ext = prev_f[j] - gap_extend
-            if f_open >= f_ext:
-                f_row[j] = f_open
-            else:
-                f_row[j] = f_ext
-                pf_row[j] = "F"
-            diag = prev_h[j - 1] + matrix[(ca, rb[j - 1])]
-            h, p = 0, "0"
-            if diag >= h:
-                h, p = diag, "D"
-            if e_row[j] > h:
-                h, p = e_row[j], "E"
-            if f_row[j] > h:
-                h, p = f_row[j], "F"
-            if h == 0:
-                p = "0"
-            h_row[j] = h
-            ph_row[j] = p
-            if h > best:
-                best = h
-                ends = [(i, j)]
-            elif h == best and h > 0:
-                ends.append((i, j))
-        h_rows.append(h_row)
-        e_rows.append(e_row)
-        f_rows.append(f_row)
-        ph_rows.append(ph_row)
-        pe_rows.append(pe_row)
-        pf_rows.append(pf_row)
+                hs, hc = cell, n
+            if e > h:
+                h, hs, hc = e, es, ec
+            if f > h:
+                h, hs, hc = f, fs, fc
+            if h <= 0:
+                h = 0
+            elif h >= best and (h > best or hs < best_start):
+                best, best_start, best_end, best_counts = h, hs, cell, hc
+            hr.append(h)
+            hrs.append(hs)
+            hrc.append(hc)
+            fr.append(f)
+            frs.append(fs)
+            frc.append(fc)
+            x, xs, xc = y, ys, yc
+        ph, phs, phc, pf, pfs, pfc = hr, hrs, hrc, fr, frs, frc
 
-    if best <= 0:
+    if not best:
         return None
-
-    candidates = [
-        _traceback(ra, rb, best, ph_rows, pe_rows, pf_rows, i, j) for i, j in ends
-    ]
-    return min(candidates, key=lambda al: (al.query_start, al.target_start, al.query_end, al.target_end))
-
-
-def _traceback(ra, rb, score, ph_rows, pe_rows, pf_rows, i, j) -> Alignment:
-    query_end, target_end = i, j
-    identities = 0
-    aligned = 0
-    state = "H"
-    while True:
-        if state == "H":
-            p = ph_rows[i][j]
-            if p == "D":
-                aligned += 1
-                if ra[i - 1] == rb[j - 1]:
-                    identities += 1
-                i -= 1
-                j -= 1
-                if ph_rows[i][j] == "0":
-                    break
-            elif p in ("E", "F"):
-                state = p
-            else:  # '0' — only reachable if the end cell itself is a fresh start
-                break
-        elif state == "E":
-            aligned += 1
-            state = "H" if pe_rows[i][j] == "H" else "E"
-            j -= 1
-        else:  # F
-            aligned += 1
-            state = "H" if pf_rows[i][j] == "H" else "F"
-            i -= 1
-    return Alignment(
-        score=score,
-        query_start=i + 1,
-        query_end=query_end,
-        target_start=j + 1,
-        target_end=target_end,
-        identities=identities,
-        aligned_length=aligned,
-    )
+    qs, ts = divmod(best_start, width)
+    qe, te = divmod(best_end, width)
+    aligned_length = (qe - qs + 1) + (te - ts + 1) - (best_counts & 0xFFFFFFFF)
+    return Alignment(best, qs, qe, ts, te, best_counts >> 32, aligned_length)
 
 
 def bit_score(raw_score: int) -> float:

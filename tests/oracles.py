@@ -10,6 +10,8 @@ from functools import lru_cache
 
 from protagent.blosum62 import BLOSUM62
 from protagent.domains import RESIDUE_ORDER, ProfileHmm
+from protagent.homology import Alignment
+from protagent.seq import Sequence
 
 GAP_OPEN = 11
 GAP_EXTEND = 1
@@ -95,6 +97,128 @@ def gotoh_local_score(a: str, b: str) -> int:
             H[i][j] = max(0.0, H[i - 1][j - 1] + BLOSUM62[(a[i - 1], b[j - 1])], E[i][j], F[i][j])
             best = max(best, H[i][j])
     return int(best)
+
+
+def reference_smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
+    """Gotoh local alignment over full pointer matrices, with traceback.
+
+    The straightforward formulation the production kernel must match
+    exactly: H cells point to 'D'iag / 'E' / 'F' / '0' (fresh start),
+    preferring D then E then F on equal scores; E and F cells point to 'H'
+    (gap open, preferred on equal scores) or to themselves (extend). Every
+    best-scoring end cell is traced back, and the alignment with the
+    smallest (query_start, target_start, query_end, target_end) wins.
+    """
+    ra, rb = a.residues, b.residues
+    n, m = len(ra), len(rb)
+    neg = -(10 ** 9)
+
+    # H: best score ending at (i, j); E: gap in query (consumes b); F: gap in target.
+    h_rows = [[0] * (m + 1)]
+    e_rows = [[neg] * (m + 1)]
+    f_rows = [[neg] * (m + 1)]
+    # Pointers: H cell from 'D'iag / 'E' / 'F' / '0' (fresh start);
+    # E and F cells from 'H' (gap open) or their own state (extend).
+    ph_rows = [["0"] * (m + 1)]
+    pe_rows = [["H"] * (m + 1)]
+    pf_rows = [["H"] * (m + 1)]
+    best = 0
+    ends: list[tuple[int, int]] = []
+    for i in range(1, n + 1):
+        h_row = [0] * (m + 1)
+        e_row = [neg] * (m + 1)
+        f_row = [neg] * (m + 1)
+        ph_row = ["0"] * (m + 1)
+        pe_row = ["H"] * (m + 1)
+        pf_row = ["H"] * (m + 1)
+        ca = ra[i - 1]
+        prev_h = h_rows[i - 1]
+        prev_f = f_rows[i - 1]
+        for j in range(1, m + 1):
+            e_open = h_row[j - 1] - GAP_OPEN
+            e_ext = e_row[j - 1] - GAP_EXTEND
+            if e_open >= e_ext:
+                e_row[j] = e_open
+            else:
+                e_row[j] = e_ext
+                pe_row[j] = "E"
+            f_open = prev_h[j] - GAP_OPEN
+            f_ext = prev_f[j] - GAP_EXTEND
+            if f_open >= f_ext:
+                f_row[j] = f_open
+            else:
+                f_row[j] = f_ext
+                pf_row[j] = "F"
+            diag = prev_h[j - 1] + BLOSUM62[(ca, rb[j - 1])]
+            h, p = 0, "0"
+            if diag >= h:
+                h, p = diag, "D"
+            if e_row[j] > h:
+                h, p = e_row[j], "E"
+            if f_row[j] > h:
+                h, p = f_row[j], "F"
+            if h == 0:
+                p = "0"
+            h_row[j] = h
+            ph_row[j] = p
+            if h > best:
+                best = h
+                ends = [(i, j)]
+            elif h == best and h > 0:
+                ends.append((i, j))
+        h_rows.append(h_row)
+        e_rows.append(e_row)
+        f_rows.append(f_row)
+        ph_rows.append(ph_row)
+        pe_rows.append(pe_row)
+        pf_rows.append(pf_row)
+
+    if best <= 0:
+        return None
+
+    candidates = [
+        _sw_traceback(ra, rb, best, ph_rows, pe_rows, pf_rows, i, j) for i, j in ends
+    ]
+    return min(candidates, key=lambda al: (al.query_start, al.target_start, al.query_end, al.target_end))
+
+
+def _sw_traceback(ra, rb, score, ph_rows, pe_rows, pf_rows, i, j) -> Alignment:
+    query_end, target_end = i, j
+    identities = 0
+    aligned = 0
+    state = "H"
+    while True:
+        if state == "H":
+            p = ph_rows[i][j]
+            if p == "D":
+                aligned += 1
+                if ra[i - 1] == rb[j - 1]:
+                    identities += 1
+                i -= 1
+                j -= 1
+                if ph_rows[i][j] == "0":
+                    break
+            elif p in ("E", "F"):
+                state = p
+            else:  # '0' — only reachable if the end cell itself is a fresh start
+                break
+        elif state == "E":
+            aligned += 1
+            state = "H" if pe_rows[i][j] == "H" else "E"
+            j -= 1
+        else:  # F
+            aligned += 1
+            state = "H" if pf_rows[i][j] == "H" else "F"
+            i -= 1
+    return Alignment(
+        score=score,
+        query_start=i + 1,
+        query_end=query_end,
+        target_start=j + 1,
+        target_end=target_end,
+        identities=identities,
+        aligned_length=aligned,
+    )
 
 
 # --- profile-HMM local Viterbi ---------------------------------------------

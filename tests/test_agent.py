@@ -252,6 +252,16 @@ def test_scripted_backend_malformed_line_names_line(tmp_path):
             ScriptedBackend.from_jsonl(str(path))
 
 
+def test_scripted_backend_rejects_non_string_content(tmp_path):
+    path = tmp_path / "script.jsonl"
+    for content in (5, ["part"], {"text": "a"}):
+        path.write_text('{"content": "a"}\n' + json.dumps({"content": content}) + "\n")
+        with pytest.raises(SchemaError, match="line 2: content must be a string or null"):
+            ScriptedBackend.from_jsonl(str(path))
+    path.write_text('{"content": null, "tool_calls": [{"name": "seq_basic_props"}]}\n')
+    assert ScriptedBackend.from_jsonl(str(path)).turns[0].content is None
+
+
 def test_scripted_call_ids_follow_file_lines(tmp_path):
     path = tmp_path / "script.jsonl"
     call = {"name": "seq_basic_props", "arguments": {"sequence_ref": "query"}}

@@ -248,6 +248,46 @@ def test_synth_prompts(runner, tmp_path):
     assert all("prompt" in r and "completion" not in r for r in rows)
 
 
+def test_synth_fill_with_scripted_backend(runner, tmp_path):
+    out = tmp_path / "prompts.jsonl"
+    result = runner.invoke(
+        main,
+        [
+            "synth",
+            "--cases", data_path("cases.jsonl"),
+            "--out", str(out),
+            "--fill",
+            "--backend", "scripted",
+            "--script", data_path("direct_replies.jsonl"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["case_id"] for r in rows] == ["mscl-1", "toy-2", "toy-3"]
+    # One backend serves every case: its single scripted reply fills the
+    # first row, and the exhausted script becomes a per-row error.
+    assert rows[0]["completion"] == "Reasoning... <answer>a membrane channel protein</answer>"
+    assert all("exhausted" in r["completion_error"] and "completion" not in r for r in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "--cases", data_path("cases.jsonl"), "--out", "{tmp}/p.jsonl", "--fill",
+         "--backend", "scripted", "--script", "{tmp}/absent.jsonl"],
+        ["tools", "run", "seq_basic_props", "--sequence-file", "{tmp}/absent.jsonl"],
+        ["index", "build", "--fasta", "{tmp}/absent.jsonl", "--annotations",
+         data_path("store.annotations.jsonl"), "--out", "{tmp}/store.json"],
+    ],
+    ids=["synth-script", "tools-run-sequence-file", "index-build-fasta"],
+)
+def test_missing_input_file_is_a_message(runner, tmp_path, args):
+    result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert "absent.jsonl" in result.output
+
+
 def test_config_file_and_override(runner, tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text(

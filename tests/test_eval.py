@@ -166,6 +166,24 @@ def test_load_benchmark_rejects_unsafe_case_ids(tmp_path):
     assert [c.case_id for c in load_benchmark(str(path))] == ["mscl-1", "rag-0001", "dom-0001"]
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("task", 5, "task missing or not strings"),
+        ("sequence", 5, "sequence missing or not strings"),
+        ("reference_answer", 5, "reference_answer missing or not strings"),
+        ("question", None, "question missing or not strings"),
+        ("case_id", "a b", "sequence id must be nonempty without whitespace"),
+        ("sequence", "MLBV", "invalid residue 'B'"),
+    ],
+)
+def test_load_benchmark_rejects_bad_field_naming_line(tmp_path, field, value, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(case_row("ok")) + "\n" + json.dumps({**case_row("x"), field: value}) + "\n")
+    with pytest.raises(SchemaError, match=f"line 2: .*{message}"):
+        load_benchmark(str(path))
+
+
 # --- run scoring ------------------------------------------------------------
 
 

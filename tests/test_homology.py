@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_local_score, gotoh_local_score
+from oracles import brute_local_score, gotoh_local_score, reference_smith_waterman
 from protagent import homology
 from protagent.blosum62 import BLOSUM62, score
 from protagent.errors import EmptyIndexError, MissingAnnotationError, SchemaError
 from protagent.homology import (
+    Alignment,
     AnnotationRecord,
     ReferenceEntry,
     build_index,
@@ -115,6 +116,92 @@ def test_alignment_internal_consistency(a, b):
     span_q = aln.query_end - aln.query_start + 1
     span_t = aln.target_end - aln.target_start + 1
     assert aln.aligned_length >= max(span_q, span_t)
+
+
+# --- exactness against the pointer-matrix kernel ---------------------------
+
+
+def assert_matches_reference(a: str, b: str) -> Alignment | None:
+    q, t = seq(a, "q"), seq(b, "t")
+    aln = smith_waterman(q, t)
+    assert aln == reference_smith_waterman(q, t), (a, b)
+    return aln
+
+
+def random_residues(rng: random.Random, alphabet: str, low: int, high: int) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(low, high)))
+
+
+def mutated_homolog(rng: random.Random, residues: str) -> str:
+    """About 20% substitutions, 5% deletions and 5% insertions of 1-4 residues."""
+    out = []
+    for c in residues:
+        r = rng.random()
+        if r < 0.2:
+            out.append(rng.choice(CANONICAL_RESIDUES + "X"))
+        elif r < 0.25:
+            continue
+        else:
+            out.append(c)
+            if r < 0.3:
+                out.append(random_residues(rng, CANONICAL_RESIDUES, 1, 4))
+    return "".join(out) or residues
+
+
+@pytest.mark.parametrize(
+    "alphabet, pairs, max_len",
+    [(CANONICAL_RESIDUES + "X", 600, 40), ("LD", 600, 16), ("WA", 600, 16), ("LLLLD", 300, 24)],
+    ids=["21-letters", "LD", "WA", "LLLLD"],
+)
+def test_alignment_equals_reference_on_random_pairs(alphabet, pairs, max_len):
+    # Two-letter alphabets make equal-score paths, and so every tie rule, common.
+    rng = random.Random(alphabet)
+    for _ in range(pairs):
+        assert_matches_reference(random_residues(rng, alphabet, 1, max_len), random_residues(rng, alphabet, 1, max_len))
+
+
+def test_alignment_equals_reference_on_mutated_homologs():
+    rng = random.Random(11)
+    for _ in range(80):
+        a = random_residues(rng, CANONICAL_RESIDUES, 20, 100)
+        assert_matches_reference(a, mutated_homolog(rng, a))
+        assert_matches_reference(mutated_homolog(rng, a), a)
+
+
+# Hand-built ties. Each pair has two optimal alignments that one tie rule
+# tells apart; the kernel reports the first one named below, and flipping
+# that rule reports the second.
+
+
+def test_tie_gap_opens_rather_than_extends():
+    # Two paths score 21 against MWWMGW: MMW-GW leaves one target letter
+    # unaligned (5 - 1 + 11 - 11 + 6 + 11), and MW--GW, from the second M,
+    # leaves two (5 + 11 - 12 + 6 + 11). Where the one-letter gap opens,
+    # the two-letter gap extends at the same score, and the gap opens.
+    assert assert_matches_reference("MMWGW", "MWWMGW") == Alignment(21, 1, 5, 1, 6, 4, 6)
+    # The same pair transposed puts the tie in F (a gap in the target).
+    assert assert_matches_reference("MWWMGW", "MMWGW") == Alignment(21, 1, 6, 1, 5, 4, 6)
+
+
+def test_tie_diagonal_beats_gap_in_query():
+    # AWAW|AWWW scores 23 ungapped; WA-WAW|WAAWWW also scores 23 through a
+    # gap. At cell (2, 3) the diagonal (a fresh A|A) and E (WA|WA, then the
+    # gap) both score 4, and the diagonal wins, although the gapped path
+    # starts earlier.
+    assert assert_matches_reference("WAWAW", "WAAWWW") == Alignment(23, 2, 5, 3, 6, 3, 4)
+
+
+def test_tie_diagonal_beats_gap_in_target():
+    # The same tie between the diagonal and F: at cell (3, 2) a fresh G|G
+    # and WG|WG followed by a gap both score 6, so GWW|GWW (28) is
+    # reported, not WGGWW|WG-WW (28).
+    assert assert_matches_reference("WGGWWW", "WGWWG") == Alignment(28, 3, 5, 2, 4, 3, 3)
+
+
+def test_tie_equal_ends_with_equal_start_report_the_first():
+    # X scores 0 against E, so L|L and LX|LE both score 4 from (1, 1): the
+    # end first in row-major order wins.
+    assert assert_matches_reference("LX", "LE") == Alignment(4, 1, 1, 1, 1, 1, 1)
 
 
 # --- statistics -------------------------------------------------------------
