@@ -74,8 +74,8 @@ class ScriptedBackend:
 
         Each line: {"content": str | null, "tool_calls": [{"name", "arguments"}]}.
         Malformed JSON, a line that is not an object, content that is neither
-        a string nor null, or a tool call without a name raises SchemaError
-        naming the 1-based line.
+        a string nor null, null content without tool calls, or a tool call
+        without a name raises SchemaError naming the 1-based line.
         """
         turns = []
         with open(path, encoding="utf-8") as fh:
@@ -92,6 +92,8 @@ class ScriptedBackend:
                 if not isinstance(obj.get("content"), (str, type(None))):
                     raise SchemaError(f"script line {turn_idx + 1}: content must be a string or null")
                 tool_calls = obj.get("tool_calls") or []
+                if obj.get("content") is None and not tool_calls:
+                    raise SchemaError(f"script line {turn_idx + 1}: null content needs tool calls")
                 if not all(isinstance(tc, dict) and "name" in tc for tc in tool_calls):
                     raise SchemaError(f"script line {turn_idx + 1}: every tool call needs a name")
                 calls = tuple(
@@ -161,6 +163,8 @@ class HttpChatBackend:
             raise BackendError(f"chat completion message is not an object: {message!r}")
         if not isinstance(message.get("content"), (str, type(None))):
             raise BackendError(f"chat completion content is not a string: {message['content']!r}")
+        if message.get("content") is None and not message.get("tool_calls"):
+            raise BackendError("chat completion message has neither content nor tool calls")
         calls = None
         if message.get("tool_calls"):
             parsed = []

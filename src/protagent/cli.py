@@ -253,10 +253,11 @@ def synth(cases_path, out, fill, config_path, **overrides):
     try:
         cases = evaluation.load_benchmark(cases_path)
         backend = _backend_factory(cfg)() if fill else None
+        fh = open(out, "w", encoding="utf-8")
     except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
     decoding = DecodingParams(temperature=cfg.temperature, max_tokens=cfg.max_tokens)
-    with open(out, "w", encoding="utf-8") as fh:
+    with fh:
         for case in cases:
             prompt = evaluation.synth_cold_start_prompt(case)
             row = {"case_id": case.case_id, "prompt": prompt}

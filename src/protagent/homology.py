@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
@@ -32,6 +34,19 @@ DEFAULT_KMER_HIT_THRESHOLD = 2
 DIAGONAL_BAND = 16
 
 _IDENTITY = (1 << 32) + 1  # an identical diagonal step, in smith_waterman's path counts
+
+# Index keys are code << 42 | ordinal << 20 | offset in one unsigned 64-bit
+# word: a 5-mer code (< 21**5 < 2**22) over a 22-bit entry ordinal and a
+# 20-bit offset. Sorted, a k-mer's sites form one run in (ordinal, offset)
+# order.
+KMER_ALPHABET = "ACDEFGHIKLMNPQRSTVWXY"
+_KMER_DIGIT = {c: d for d, c in enumerate(KMER_ALPHABET)}
+_OFFSET_BITS = 20
+_CODE_SHIFT = 42
+_OFFSET_MASK = (1 << _OFFSET_BITS) - 1
+_ORDINAL_MASK = (1 << (_CODE_SHIFT - _OFFSET_BITS)) - 1
+MAX_ENTRY_RESIDUES = 1 << _OFFSET_BITS
+MAX_ENTRIES = 1 << (_CODE_SHIFT - _OFFSET_BITS)
 
 
 @dataclass(frozen=True)
@@ -105,37 +120,72 @@ class BestHit:
 
 @dataclass
 class ReferenceIndex:
-    """Exact k-mer inverted index over a reference store."""
+    """Exact k-mer index over a reference store: one sorted array of
+    code << 42 | ordinal << 20 | offset keys, 8 bytes per indexed k-mer."""
 
     entries: list[ReferenceEntry]
     k: int
-    postings: dict[str, list[tuple[int, int]]] = field(repr=False, default_factory=dict)
+    keys: array = field(repr=False)
 
     @cached_property
     def total_residues(self) -> int:
         return sum(e.sequence.length for e in self.entries)
 
 
-def build_index(entries: list[ReferenceEntry], k: int = DEFAULT_K) -> ReferenceIndex:
-    """Build a k-mer -> [(entry ordinal, offset)] inverted index.
+def _kmer_codes(residues: str, k: int) -> list[int]:
+    """Base-21 code of every k-mer of residues (digits in KMER_ALPHABET
+    order), by start offset; empty when residues is shorter than k."""
+    digits = [_KMER_DIGIT[c] for c in residues]
+    lead_weight = 21 ** (k - 1)
+    code = 0
+    for d in digits[: k - 1]:
+        code = code * 21 + d
+    codes = []
+    for lead, d in zip(digits, digits[k - 1 :]):
+        code = code * 21 + d
+        codes.append(code)
+        code -= lead * lead_weight
+    return codes
 
-    Entries shorter than k contribute zero k-mers (warning, not fatal).
+
+def build_index(entries: list[ReferenceEntry], k: int = DEFAULT_K) -> ReferenceIndex:
+    """Build the sorted k-mer key array of a store.
+
+    Entries shorter than k contribute zero k-mers (warning, not fatal). A
+    key holds k in [3, 5], at most MAX_ENTRIES entries and at most
+    MAX_ENTRY_RESIDUES residues per entry; beyond them nothing is built.
     """
     if not entries:
         raise EmptyIndexError("cannot build an index over zero entries")
-    if not 3 <= k <= 7:
-        raise ValueError(f"k must be in [3, 7], got {k}")
-    postings: dict[str, list[tuple[int, int]]] = {}
+    if not 3 <= k <= 5:
+        raise ValueError(f"k must be in [3, 5], got {k}")
+    if len(entries) > MAX_ENTRIES:
+        raise SchemaError(f"a store holds at most {MAX_ENTRIES} entries, got {len(entries)}")
+    for entry in entries:
+        if entry.sequence.length > MAX_ENTRY_RESIDUES:
+            raise SchemaError(
+                f"entry {entry.accession} has {entry.sequence.length} residues; "
+                f"the index holds at most {MAX_ENTRY_RESIDUES}"
+            )
+    # One bucket per leading residue, each sorted on its own into an array of
+    # the final size: no list of Python ints and no sort buffer ever spans
+    # the whole store.
+    lead_weight = 21 ** (k - 1)
+    buckets = [array("Q") for _ in KMER_ALPHABET]
     for ordinal, entry in enumerate(entries):
         res = entry.sequence.residues
         if len(res) < k:
             log.warning("entry %s shorter than k=%d; indexed with zero k-mers", entry.accession, k)
             continue
-        for off in range(len(res) - k + 1):
-            postings.setdefault(res[off : off + k], []).append((ordinal, off))
-    for plist in postings.values():
-        plist.sort()
-    return ReferenceIndex(entries=entries, k=k, postings=postings)
+        for site, code in enumerate(_kmer_codes(res, k), ordinal << _OFFSET_BITS):
+            buckets[code // lead_weight].append(code << _CODE_SHIFT | site)
+    keys = array("Q", [0]) * sum(map(len, buckets))
+    end = 0
+    for lead, bucket in enumerate(buckets):
+        buckets[lead] = None  # freed once copied
+        start, end = end, end + len(bucket)
+        keys[start:end] = array("Q", sorted(bucket))
+    return ReferenceIndex(entries=entries, k=k, keys=keys)
 
 
 def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
@@ -226,12 +276,16 @@ def e_value(bits: float, query_len: int, db_residues: int) -> float:
 
 def _candidate_ordinals(index: ReferenceIndex, query: Sequence, hit_threshold: int) -> list[int]:
     """Entries sharing >= hit_threshold k-mers on nearby diagonals."""
-    k = index.k
-    res = query.residues
+    keys = index.keys
     diagonals: dict[int, list[int]] = {}
-    for qpos in range(len(res) - k + 1):
-        for ordinal, off in index.postings.get(res[qpos : qpos + k], ()):
-            diagonals.setdefault(ordinal, []).append(qpos - off)
+    for qpos, code in enumerate(_kmer_codes(query.residues, index.k)):
+        lo = bisect_left(keys, code << _CODE_SHIFT)
+        end = (code + 1) << _CODE_SHIFT
+        if lo == len(keys) or keys[lo] >= end:
+            continue  # absent from the store, as most query k-mers are
+        hi = bisect_left(keys, end, lo)
+        for key in keys[lo:hi]:
+            diagonals.setdefault(key >> _OFFSET_BITS & _ORDINAL_MASK, []).append(qpos - (key & _OFFSET_MASK))
     out = []
     for ordinal, diags in diagonals.items():
         diags.sort()

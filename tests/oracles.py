@@ -221,6 +221,44 @@ def _sw_traceback(ra, rb, score, ph_rows, pe_rows, pf_rows, i, j) -> Alignment:
     )
 
 
+# --- k-mer prefilter ---------------------------------------------------------
+
+DIAGONAL_BAND = 16
+
+
+def _reference_postings(entries, k: int) -> dict[str, list[tuple[int, int]]]:
+    """The dict k-mer -> [(entry ordinal, offset)] inverted index."""
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for ordinal, entry in enumerate(entries):
+        res = entry.sequence.residues
+        if len(res) < k:
+            continue
+        for off in range(len(res) - k + 1):
+            postings.setdefault(res[off : off + k], []).append((ordinal, off))
+    for plist in postings.values():
+        plist.sort()
+    return postings
+
+
+def reference_candidate_ordinals(entries, k: int, query: Sequence, hit_threshold: int) -> list[int]:
+    """Entries sharing >= hit_threshold k-mers on nearby diagonals, looked
+    up by k-mer string in a dict of postings lists."""
+    postings = _reference_postings(entries, k)
+    res = query.residues
+    diagonals: dict[int, list[int]] = {}
+    for qpos in range(len(res) - k + 1):
+        for ordinal, off in postings.get(res[qpos : qpos + k], ()):
+            diagonals.setdefault(ordinal, []).append(qpos - off)
+    out = []
+    for ordinal, diags in diagonals.items():
+        diags.sort()
+        for lo in range(len(diags) - hit_threshold + 1):
+            if diags[lo + hit_threshold - 1] - diags[lo] <= DIAGONAL_BAND:
+                out.append(ordinal)
+                break
+    return sorted(out)
+
+
 # --- profile-HMM local Viterbi ---------------------------------------------
 
 

@@ -262,6 +262,14 @@ def test_scripted_backend_rejects_non_string_content(tmp_path):
     assert ScriptedBackend.from_jsonl(str(path)).turns[0].content is None
 
 
+def test_scripted_backend_rejects_null_content_without_tool_calls(tmp_path):
+    path = tmp_path / "script.jsonl"
+    for line in ('{"content": null}', "{}", '{"content": null, "tool_calls": []}'):
+        path.write_text('{"content": "a"}\n' + line + "\n")
+        with pytest.raises(SchemaError, match="line 2: null content needs tool calls"):
+            ScriptedBackend.from_jsonl(str(path))
+
+
 def test_scripted_call_ids_follow_file_lines(tmp_path):
     path = tmp_path / "script.jsonl"
     call = {"name": "seq_basic_props", "arguments": {"sequence_ref": "query"}}
@@ -341,6 +349,9 @@ def test_http_backend_parses_tool_calls(monkeypatch):
         {"content": [{"type": "text", "text": "<answer>x</answer>"}]},
         {"content": None, "tool_calls": ["not an object"]},
         {"content": None, "tool_calls": [http_tool_call({"sequence_ref": "query"})]},
+        {"content": None},  # neither content nor tool calls
+        {"content": None, "tool_calls": []},
+        {},
     ],
 )
 def test_http_backend_malformed_message_is_backend_error(monkeypatch, registry, mscl_seq, message):

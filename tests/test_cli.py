@@ -288,6 +288,14 @@ def test_missing_input_file_is_a_message(runner, tmp_path, args):
     assert "absent.jsonl" in result.output
 
 
+def test_synth_out_into_missing_directory_is_a_message(runner, tmp_path):
+    out = tmp_path / "absent" / "p.jsonl"
+    result = runner.invoke(main, ["synth", "--cases", data_path("cases.jsonl"), "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert str(out) in result.output
+
+
 def test_config_file_and_override(runner, tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text(

@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_local_score, gotoh_local_score, reference_smith_waterman
+from oracles import (
+    brute_local_score,
+    gotoh_local_score,
+    reference_candidate_ordinals,
+    reference_smith_waterman,
+)
 from protagent import homology
 from protagent.blosum62 import BLOSUM62, score
 from protagent.errors import EmptyIndexError, MissingAnnotationError, SchemaError
 from protagent.homology import (
+    MAX_ENTRIES,
+    MAX_ENTRY_RESIDUES,
     Alignment,
     AnnotationRecord,
     ReferenceEntry,
+    _candidate_ordinals,
     build_index,
     e_value,
     bit_score,
@@ -281,6 +289,122 @@ def test_make_evidence_missing_annotation(store_index):
     hit = search_best_hit(store_index, Sequence(id="query", residues=mscl.residues))
     with pytest.raises(MissingAnnotationError):
         make_evidence(hit, {})
+
+
+# --- packed index against the dict postings --------------------------------
+
+
+def test_build_index_rejects_k_beyond_packed_key():
+    with pytest.raises(ValueError, match=r"\[3, 5\]"):
+        build_index([entry("A1", "MLKEFKEF")], k=6)
+
+
+def test_build_index_rejects_overlong_entry_before_indexing(caplog):
+    import logging
+
+    entries = [entry("SHORT", "ML"), entry("LONG1", "A" * (MAX_ENTRY_RESIDUES + 1))]
+    with caplog.at_level(logging.WARNING), pytest.raises(SchemaError, match="LONG1"):
+        build_index(entries)
+    assert "SHORT" not in caplog.text  # rejected before the first entry was indexed
+
+
+def test_offsets_up_to_the_entry_limit_decode():
+    # The longest entry allowed. The six 5-mers of the first block sit at
+    # offsets 2**19 - 3 to 2**19 + 2, three on each side of bit 19; the last
+    # block ends the entry, at offset 2**20 - 5.
+    half = MAX_ENTRY_RESIDUES // 2
+    res = "A" * (half - 3) + "MKWCHPQRDE" + "A" * (half - 17) + "CHWMKDEPQR"
+    index = build_index([entry("W0", "MKWCHPQRDE"), entry("EDGE", res)])
+    assert len(res) == MAX_ENTRY_RESIDUES
+    assert _candidate_ordinals(index, seq("MKWCHPQRDE"), 4) == [0, 1]
+    assert _candidate_ordinals(index, seq("CHWMKDEPQR"), 2) == [1]
+
+
+def test_build_index_rejects_too_many_entries_before_iterating():
+    class Uniterable(list):
+        def __iter__(self):
+            raise AssertionError("build_index iterated over the entries")
+
+    with pytest.raises(SchemaError, match=str(MAX_ENTRIES)):
+        build_index(Uniterable([entry("A1", "MLKEFKEF")] * (MAX_ENTRIES + 1)))
+
+
+def assert_candidates_match_reference(entries, queries, k: int, thresholds=(1, 2, 3)) -> int:
+    """Equal candidate lists for every query and threshold; returns how many
+    of them were nonempty, so a test can tell it was not vacuous."""
+    index = build_index(entries, k=k)
+    nonempty = 0
+    for q in queries:
+        query = seq(q, "query")
+        for threshold in thresholds:
+            got = _candidate_ordinals(index, query, threshold)
+            assert got == reference_candidate_ordinals(entries, k, query, threshold), (k, threshold, q)
+            nonempty += bool(got)
+    return nonempty
+
+
+def random_store(rng: random.Random, alphabet: str, n: int) -> list[ReferenceEntry]:
+    """Entries of 1-90 residues, some shorter than k, some with homopolymer
+    runs (one k-mer at many offsets) and some with X."""
+    entries = []
+    for i in range(n):
+        res = random_residues(rng, alphabet, 1, 60)
+        if i % 3 == 0:
+            cut = rng.randint(0, len(res))
+            res = res[:cut] + rng.choice("LAXY") * rng.randint(5, 30) + res[cut:]
+        entries.append(entry(f"R{i}", res))
+    return entries
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("alphabet", [CANONICAL_RESIDUES + "X", "LKDEX", "ACWY"], ids=["21-letters", "LKDEX", "ACWY"])
+def test_candidates_equal_reference_on_random_stores(k, alphabet):
+    rng = random.Random(f"{alphabet}-{k}")
+    entries = random_store(rng, alphabet, 40)
+    queries = [mutated_homolog(rng, e.sequence.residues) for e in rng.sample(entries, 10)]
+    queries += [random_residues(rng, alphabet, 1, 80) for _ in range(5)]
+    queries += ["L" * 12, "X" * (k + 1), "A" * (k - 1)]
+    nonempty = assert_candidates_match_reference(entries, queries, k)
+    assert nonempty >= 15
+    assert assert_candidates_match_reference(entries[::-1], queries, k) == nonempty
+
+
+def test_candidates_equal_reference_at_code_edges():
+    # AAAAA is code 0 and YYYYY the top code 21**5 - 1; AAAAC and YYYYX are
+    # their neighbours; CCCCC and MKMKM occur nowhere in the store.
+    entries = [
+        entry("E0", "AAAAA"),
+        entry("E1", "MAAAAAAAW"),
+        entry("E2", "AAAAC"),
+        entry("E3", "YYYYX"),
+        entry("E4", "WYYYYYYY"),
+        entry("E5", "YYYYY"),
+    ]
+    queries = ["AAAAA", "AAAAAAA", "AAAAC", "YYYYY", "YYYYYYY", "YYYYX", "CCCCC", "MKMKM", "AAAAAYYYYY"]
+    assert assert_candidates_match_reference(entries, queries, 5) > 0
+    assert assert_candidates_match_reference(entries[::-1], queries, 5) > 0
+    index = build_index(entries)
+    assert _candidate_ordinals(index, seq("AAAAA"), 1) == [0, 1]
+    assert _candidate_ordinals(index, seq("YYYYY"), 1) == [4, 5]
+    assert _candidate_ordinals(index, seq("CCCCC"), 1) == []
+    # The top code's one site is the last key; past WWWWW there is no key.
+    index = build_index([entry("E0", "AAAAA"), entry("E1", "MYYYYY")])
+    assert _candidate_ordinals(index, seq("YYYYY"), 1) == [1]
+    index = build_index([entry("E0", "AAAAA"), entry("E1", "WWWWW")])
+    assert [_candidate_ordinals(index, seq(q), 1) for q in ("YYYYY", "WWWWW")] == [[], [1]]
+
+
+def test_candidates_equal_reference_at_band_edges():
+    # Each query shares u and v with each entry on diagonals 13 to 21 apart,
+    # from odd and even offsets; threshold 2 keeps the pairs at most 16 apart.
+    u, v, fill = "MKWCH", "PQRDE", "G" * 40
+    entries = [
+        entry(f"S{lead}-{gap}", "A" * lead + u + fill[:gap] + v)
+        for lead in (0, 1, 2, 3)
+        for gap in (0, 1, 2, 3)
+    ]
+    queries = [u + fill[:g] + v for g in (16, 17, 18, 19, 20, 21)]
+    assert assert_candidates_match_reference(entries, queries, 5, thresholds=(2,)) > 0
 
 
 # --- persistence ------------------------------------------------------------
