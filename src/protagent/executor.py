@@ -13,6 +13,7 @@ then replaced by a `timeout` envelope.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -41,11 +42,21 @@ class ResolutionError(ProtAgentError):
         self.error_kind = error_kind
 
 
+_TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v)),
+}
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     type: str
     description: str = ""
     required: bool = False
+
+    def __post_init__(self):
+        if self.type not in _TYPE_CHECKS:
+            raise ValueError(f"parameter type must be one of {sorted(_TYPE_CHECKS)}, got {self.type!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +133,7 @@ class ToolRegistry:
         self._tools[descriptor.name] = descriptor
 
     def get(self, name: str) -> ToolDescriptor | None:
-        return self._tools.get(name)
+        return self._tools.get(name) if isinstance(name, str) else None
 
     def names(self) -> list[str]:
         return list(self._tools)
@@ -134,9 +145,10 @@ class ToolRegistry:
 def resolve_arguments(registry: ToolRegistry, call: ToolCall, ctx: SessionContext) -> dict:
     """Validate arguments against the tool schema and dereference sequences.
 
+    Every argument must be declared and of its ParamSpec type: a `string`
+    is a str, a `number` an int that is not a bool or a finite float. Then
     `sequence_ref` is replaced by a `sequence` key bound to the referenced
-    Sequence from the session; a literal `sequence` string is validated.
-    Idempotent on already-resolved maps.
+    Sequence from the session, and a literal `sequence` is validated.
     """
     descriptor = registry.get(call.name)
     if descriptor is None:
@@ -144,6 +156,12 @@ def resolve_arguments(registry: ToolRegistry, call: ToolCall, ctx: SessionContex
     if not isinstance(call.arguments, dict):
         raise ResolutionError("invalid_arguments", f"arguments must be an object, got {call.arguments!r}")
     args = dict(call.arguments)
+    for key, value in args.items():
+        spec = descriptor.parameters.get(key)
+        if spec is None:
+            raise ResolutionError("invalid_arguments", f"unknown argument {key!r} for tool {call.name!r}")
+        if not _TYPE_CHECKS[spec.type](value):
+            raise ResolutionError("invalid_arguments", f"argument {key!r} must be a {spec.type}, got {value!r}")
     if "sequence_ref" in args and "sequence" in args:
         raise ResolutionError("ambiguous_argument", "both 'sequence' and 'sequence_ref' given")
     if "sequence_ref" in args:
@@ -151,14 +169,11 @@ def resolve_arguments(registry: ToolRegistry, call: ToolCall, ctx: SessionContex
         if ref not in ctx.named_sequences:
             raise ResolutionError("unknown_reference", f"no sequence named {ref!r} in this session")
         args["sequence"] = ctx.named_sequences[ref]
-    elif isinstance(args.get("sequence"), str):
+    elif "sequence" in args:
         try:
             args["sequence"] = validate_sequence("inline", args["sequence"])
         except ProtAgentError as exc:
             raise ResolutionError("invalid_arguments", str(exc)) from exc
-    for key in args:
-        if key not in descriptor.parameters:
-            raise ResolutionError("invalid_arguments", f"unknown argument {key!r} for tool {call.name!r}")
     for name, spec in descriptor.parameters.items():
         if spec.required and name not in args:
             raise ResolutionError("invalid_arguments", f"missing required argument {name!r}")

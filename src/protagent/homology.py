@@ -5,6 +5,13 @@ Scoring: BLOSUM62 with affine gaps (open 11, extend 1; a gap of length L
 costs open + (L-1)*extend). Bit scores use the published gapped-BLOSUM62
 Karlin-Altschul constants; E-values use m*n*2^(-bits) with n the total
 residue count of the store.
+
+Search is score first. A bit-parallel pass (local_score) computes the
+optimal local score of every prefilter candidate over a query profile
+packed into plain ints, one field per query position, with fields wide
+enough for the bound 11 * min(len(query), longest candidate) + 15. The
+candidates are ranked by that score, and smith_waterman aligns them in rank
+order only until one passes min_seq_id.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ DEFAULT_KMER_HIT_THRESHOLD = 2
 DIAGONAL_BAND = 16
 
 _IDENTITY = (1 << 32) + 1  # an identical diagonal step, in smith_waterman's path counts
+_MAX_SUBSTITUTION = 11  # BLOSUM62's largest score (W|W)
+_SCORE_BIAS = 4  # minus BLOSUM62's smallest score, so a packed score is >= 0
 
 # Index keys are code << 42 | ordinal << 20 | offset in one unsigned 64-bit
 # word: a 5-mer code (< 21**5 < 2**22) over a 22-bit entry ordinal and a
@@ -266,6 +275,119 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
     return Alignment(best, qs, qe, ts, te, best_counts >> 32, aligned_length)
 
 
+@dataclass(frozen=True)
+class ScoreProfile:
+    """A query packed for local_score: one field of `width` bits per query
+    position, position 0 lowest, the top bit of each field a guard.
+
+    `rows[c]` holds BLOSUM62[(q_j, c)] + 4 in field j for every letter c of
+    KMER_ALPHABET. A field holds values below 2**(width - 1); the width comes
+    from the score bound 11 * min(len(query), longest) + 15 (every aligned
+    pair scores at most 11, and a diagonal step adds at most 15 to an H
+    cell), so local_score is exact on targets of at most `longest` residues.
+    """
+
+    length: int
+    width: int
+    rows: dict[str, int]
+    ones: int  # 1 in every field
+    guards: int  # the guard bit of every field
+
+
+def score_profile(query: Sequence, longest: int) -> ScoreProfile:
+    """Pack query for local_score against targets of at most longest residues."""
+    n = query.length
+    width = (_MAX_SUBSTITUTION * min(n, longest) + _MAX_SUBSTITUTION + _SCORE_BIAS).bit_length() + 1
+    # Each row as binary text, field n-1 first so that position 0 lands in
+    # the lowest bits.
+    backwards = query.residues[::-1]
+    bits = [format(v, f"0{width}b") for v in range(_MAX_SUBSTITUTION + _SCORE_BIAS + 1)]
+    rows = {}
+    for c in KMER_ALPHABET:
+        field_bits = {q: bits[BLOSUM62[(q, c)] + _SCORE_BIAS] for q in KMER_ALPHABET}
+        rows[c] = int("".join(map(field_bits.__getitem__, backwards)), 2)
+    ones = int(bits[1] * n, 2)
+    return ScoreProfile(n, width, rows, ones, ones << (width - 1))
+
+
+def local_score(profile: ScoreProfile, target: str) -> int:
+    """The score smith_waterman reports for (query, target), 0 when it reports
+    None: the largest H cell of the Gotoh recurrences, by whole rows.
+
+    One pass per target residue, each of a few operations on plain ints whose
+    fields are the query positions (SWAR). H, E and F are floored at 0, which
+    leaves H unchanged because H itself is. The diagonal comes from the
+    previous row's H one field up; F from the previous row's H and F.
+    E[j] = max(H[j-1] - 11, E[j-1] - 1) is taken from H without E: a gap
+    opened from an H that came from E never beats extending that E, since
+    the open cost is at least the extend cost (Farrar's lazy-F argument). It
+    is then a max-plus prefix scan of the opened gaps, by doubling shifts,
+    stopped at the first shift that changes nothing, after which no longer
+    shift can. A shift s changes something only where a field holds more
+    than s, so the scan stops by s = 2**(width - 1), and every decay it
+    subtracts fits a field.
+    """
+    width, rows, ones, guards = profile.width, profile.rows, profile.ones, profile.guards
+    top = width - 1
+    fields = (1 << (profile.length * width)) - 1
+    bias, extend_open, gap_open = _SCORE_BIAS * ones, (GAP_OPEN - GAP_EXTEND) * ones, GAP_OPEN * ones
+    h = f = best = 0
+    # Every fieldwise max(u, v) below is v + ((u - v) where u >= v, else 0):
+    # with the guards set, u - v leaves a field's guard set exactly where
+    # u >= v, and g - (g >> top) turns those guards into masks of their
+    # fields' value bits. max(u - k, 0) for a constant k keeps u - k under
+    # the same masks.
+    for c in target:
+        # H without E: max(diagonal, F) = max(H(i-1, j-1) + s + 4, F + 4) - 4,
+        # where F + 4 >= 4 makes the floor at 0 free.
+        u = ((h << width) & fields) + rows[c]
+        v = f + bias
+        d = (u | guards) - v
+        g = d & guards
+        h = v + (d & (g - (g >> top))) - bias
+        # E opened from H without E one field to the left, floored at 0.
+        d = (((h << width) & fields) | guards) - gap_open
+        g = d & guards
+        e = d & (g - (g >> top))
+        if e:
+            shift = 1
+            while True:
+                d = (((e << (shift * width)) & fields) | guards) - shift * ones
+                g = d & guards
+                v = d & (g - (g >> top))
+                d = (e | guards) - v
+                g = d & guards
+                v += d & (g - (g >> top))
+                if v == e:
+                    break
+                e = v
+                shift <<= 1
+            d = (h | guards) - e
+            g = d & guards
+            h = e + (d & (g - (g >> top)))
+        # F for the next row: max(H - 11, F - 1) = max(H, F + 10) - 11, floored at 0.
+        v = f + extend_open
+        d = (h | guards) - v
+        g = d & guards
+        d = ((v + (d & (g - (g >> top)))) | guards) - gap_open
+        g = d & guards
+        f = d & (g - (g >> top))
+        d = (best | guards) - h
+        g = d & guards
+        best = h + (d & (g - (g >> top)))
+    # The largest field: fold the upper half of the fields onto the lower.
+    n = profile.length
+    while n > 1:
+        half = (n + 1) >> 1
+        low = (1 << (half * width)) - 1
+        v = best >> (half * width)
+        d = ((best & low) | (guards & low)) - v
+        g = d & guards
+        best = v + (d & (g - (g >> top)))
+        n = half
+    return best
+
+
 def bit_score(raw_score: int) -> float:
     return (KA_LAMBDA * raw_score - math.log(KA_K)) / math.log(2)
 
@@ -302,40 +424,45 @@ def search_best_hit(
     min_seq_id: float = DEFAULT_MIN_SEQ_ID,
     kmer_hit_threshold: int = DEFAULT_KMER_HIT_THRESHOLD,
 ) -> BestHit | None:
-    """Best hit by (lowest E-value, highest bits, lexicographic accession)."""
+    """Best hit by (lowest E-value, highest bits, lexicographic accession)
+    among the prefilter candidates that pass min_seq_id.
+
+    Score first: local_score scores every candidate, and the ones scoring
+    above 0 are ranked by (-score, accession, ordinal). For a fixed query
+    and store, bits and E-value are strictly monotone in the raw score, and
+    equal scores give equal floats, so this is the order named above.
+    smith_waterman then aligns the candidates in that order until one
+    passes min_seq_id, and that one is the hit; the rest are never aligned.
+    """
     if not index.entries:
         raise EmptyIndexError("search against an empty index")
     ordinals = _candidate_ordinals(index, query, kmer_hit_threshold)
     if not ordinals:
         return None
-
-    db_residues = index.total_residues
-
-    def align_one(ordinal: int) -> tuple[float, float, str, BestHit] | None:
-        entry = index.entries[ordinal]
-        aln = smith_waterman(query, entry.sequence)
-        if aln is None:
-            return None
+    entries = index.entries
+    profile = score_profile(query, max(entries[o].sequence.length for o in ordinals))
+    ranked = []
+    for ordinal in ordinals:
+        entry = entries[ordinal]
+        raw = local_score(profile, entry.sequence.residues)
+        if raw > 0:
+            ranked.append((-raw, entry.accession, ordinal))
+    ranked.sort()
+    for _, accession, ordinal in ranked:
+        aln = smith_waterman(query, entries[ordinal].sequence)
         pident = 100.0 * aln.identities / aln.aligned_length
         if pident < min_seq_id * 100.0:
-            return None
+            continue
         bits = bit_score(aln.score)
-        ev = e_value(bits, query.length, db_residues)
-        hit = BestHit(
+        return BestHit(
             query=query.id,
-            target=entry.accession,
+            target=accession,
             pident=round(pident, 1),
             alnlen=aln.aligned_length,
-            evalue=float(f"{ev:.4g}"),
+            evalue=float(f"{e_value(bits, query.length, index.total_residues):.4g}"),
             bits=round(bits, 1),
         )
-        return (ev, -bits, entry.accession, hit)
-
-    ranked = [r for r in map(align_one, ordinals) if r is not None]
-    if not ranked:
-        return None
-    ranked.sort(key=lambda t: t[:3])
-    return ranked[0][3]
+    return None
 
 
 def make_evidence(hit: BestHit, annotations: dict[str, AnnotationRecord]) -> dict:

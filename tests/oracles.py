@@ -10,7 +10,18 @@ from functools import lru_cache
 
 from protagent.blosum62 import BLOSUM62
 from protagent.domains import RESIDUE_ORDER, ProfileHmm
-from protagent.homology import Alignment
+from protagent.errors import EmptyIndexError
+from protagent.homology import (
+    DEFAULT_KMER_HIT_THRESHOLD,
+    DEFAULT_MIN_SEQ_ID,
+    Alignment,
+    BestHit,
+    ReferenceIndex,
+    _candidate_ordinals,
+    bit_score,
+    e_value,
+    smith_waterman,
+)
 from protagent.seq import Sequence
 
 GAP_OPEN = 11
@@ -257,6 +268,50 @@ def reference_candidate_ordinals(entries, k: int, query: Sequence, hit_threshold
                 out.append(ordinal)
                 break
     return sorted(out)
+
+
+def reference_search_best_hit(
+    index: ReferenceIndex,
+    query: Sequence,
+    min_seq_id: float = DEFAULT_MIN_SEQ_ID,
+    kmer_hit_threshold: int = DEFAULT_KMER_HIT_THRESHOLD,
+) -> BestHit | None:
+    """Best hit by (lowest E-value, highest bits, lexicographic accession):
+    every prefilter candidate aligned in full, then the ones passing
+    min_seq_id ranked."""
+    if not index.entries:
+        raise EmptyIndexError("search against an empty index")
+    ordinals = _candidate_ordinals(index, query, kmer_hit_threshold)
+    if not ordinals:
+        return None
+
+    db_residues = index.total_residues
+
+    def align_one(ordinal: int) -> tuple[float, float, str, BestHit] | None:
+        entry = index.entries[ordinal]
+        aln = smith_waterman(query, entry.sequence)
+        if aln is None:
+            return None
+        pident = 100.0 * aln.identities / aln.aligned_length
+        if pident < min_seq_id * 100.0:
+            return None
+        bits = bit_score(aln.score)
+        ev = e_value(bits, query.length, db_residues)
+        hit = BestHit(
+            query=query.id,
+            target=entry.accession,
+            pident=round(pident, 1),
+            alnlen=aln.aligned_length,
+            evalue=float(f"{ev:.4g}"),
+            bits=round(bits, 1),
+        )
+        return (ev, -bits, entry.accession, hit)
+
+    ranked = [r for r in map(align_one, ordinals) if r is not None]
+    if not ranked:
+        return None
+    ranked.sort(key=lambda t: t[:3])
+    return ranked[0][3]
 
 
 # --- profile-HMM local Viterbi ---------------------------------------------

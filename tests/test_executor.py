@@ -246,3 +246,41 @@ def test_named_sequences_resolve():
     context = SessionContext(query_sequence=QUERY, named_sequences={"other": extra})
     resolved = resolve_arguments(echo_registry(), call("echo", {"sequence_ref": "other"}), context)
     assert resolved["sequence"] is extra
+
+
+# JSON values of every kind, and the non-finite floats a lenient parser lets through.
+NON_STRINGS = [["query"], {"ref": "query"}, None, True, False, float("nan"), float("inf"), 0, 0.5, 10**400]
+NON_NUMBERS = [["query"], {"ref": "query"}, None, True, False, float("nan"), float("-inf"), "query", ""]
+WELL_TYPED = {"string": ["query", ""], "number": [0, 0.5, 10**400]}
+
+
+def test_mistyped_arguments_are_envelopes_never_raises(registry, mscl_seq):
+    checked = 0
+    for name in registry.names():
+        parameters = registry.get(name).parameters
+        for param, spec in parameters.items():
+            refused = NON_STRINGS if spec.type == "string" else NON_NUMBERS
+            for value in refused + WELL_TYPED[spec.type]:
+                arguments = {"sequence_ref": "query"} if "sequence_ref" in parameters else {}
+                if param == "sequence":
+                    del arguments["sequence_ref"]
+                arguments[param] = value
+                resp = invoke(registry, call(name, arguments), SessionContext(query_sequence=mscl_seq))
+                if any(value is v for v in refused):
+                    assert resp.payload["error_kind"] == "invalid_arguments", (name, param, value)
+                    assert repr(param) in resp.payload["message"]
+                    checked += 1
+    # Nine string parameters (two per evidence tool, python_eval's code) and min_seq_id.
+    assert checked == 9 * len(NON_STRINGS) + len(NON_NUMBERS)
+
+
+def test_unhashable_values_outside_the_schema_are_envelopes(registry):
+    assert invoke(registry, call(["echo"], {}), ctx()).payload["error_kind"] == "unknown_tool"
+    resp = invoke(registry, call("python_eval", {"sequence_ref": ["query"]}), ctx())
+    assert resp.payload["error_kind"] == "invalid_arguments"
+    assert "'sequence_ref'" in resp.payload["message"]
+
+
+def test_param_spec_rejects_unknown_types():
+    with pytest.raises(ValueError, match="integer"):
+        ParamSpec("integer")

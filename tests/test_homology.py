@@ -9,12 +9,14 @@ from oracles import (
     brute_local_score,
     gotoh_local_score,
     reference_candidate_ordinals,
+    reference_search_best_hit,
     reference_smith_waterman,
 )
 from protagent import homology
 from protagent.blosum62 import BLOSUM62, score
 from protagent.errors import EmptyIndexError, MissingAnnotationError, SchemaError
 from protagent.homology import (
+    DEFAULT_KMER_HIT_THRESHOLD,
     MAX_ENTRIES,
     MAX_ENTRY_RESIDUES,
     Alignment,
@@ -26,8 +28,10 @@ from protagent.homology import (
     bit_score,
     load_annotations,
     load_built_store,
+    local_score,
     make_evidence,
     save_built_store,
+    score_profile,
     search_best_hit,
     smith_waterman,
 )
@@ -210,6 +214,87 @@ def test_tie_equal_ends_with_equal_start_report_the_first():
     # X scores 0 against E, so L|L and LX|LE both score 4 from (1, 1): the
     # end first in row-major order wins.
     assert assert_matches_reference("LX", "LE") == Alignment(4, 1, 1, 1, 1, 1, 1)
+
+
+# --- bit-parallel score pass ------------------------------------------------
+
+
+def assert_score_matches_reference(a: str, b: str) -> int:
+    """local_score with either sequence packed equals the reference
+    alignment's score (0 for None); returns that score."""
+    ref = reference_smith_waterman(seq(a, "q"), seq(b, "t"))
+    want = ref.score if ref else 0
+    assert local_score(score_profile(seq(a, "q"), len(b)), b) == want, (a, b)
+    assert local_score(score_profile(seq(b, "q"), len(a)), a) == want, (b, a)
+    return want
+
+
+@pytest.mark.parametrize(
+    "alphabet, pairs, max_len",
+    [(CANONICAL_RESIDUES + "X", 400, 60), ("LD", 300, 30), ("WA", 300, 30), ("LLLLD", 200, 40)],
+    ids=["21-letters", "LD", "WA", "LLLLD"],
+)
+def test_score_equals_reference_on_random_pairs(alphabet, pairs, max_len):
+    rng = random.Random(f"score-{alphabet}")
+    for _ in range(pairs):
+        assert_score_matches_reference(
+            random_residues(rng, alphabet, 1, max_len), random_residues(rng, alphabet, 1, max_len)
+        )
+
+
+def test_score_equals_reference_on_single_residues():
+    letters = CANONICAL_RESIDUES + "X"
+    for a in letters:
+        for b in letters:
+            assert assert_score_matches_reference(a, b) == max(BLOSUM62[(a, b)], 0)
+
+
+def test_score_equals_reference_across_long_gaps():
+    # Gaps of up to 40 residues in either sequence: E runs that take the
+    # prefix scan several doublings to carry.
+    rng = random.Random(17)
+    gapped = 0
+    for _ in range(40):
+        a = random_residues(rng, CANONICAL_RESIDUES, 30, 90)
+        cut = rng.randint(5, len(a) - 5)
+        b = a[:cut] + random_residues(rng, CANONICAL_RESIDUES, 1, 40) + a[cut:]
+        b = mutated_homolog(rng, b)
+        gapped += assert_score_matches_reference(a, b) > assert_score_matches_reference(a[:cut], b)
+    assert gapped > 20
+
+
+def test_score_equals_reference_on_lopsided_lengths():
+    # A short sequence packs narrow fields; a long one packed against it
+    # keeps many positions in those narrow fields.
+    rng = random.Random(23)
+    for _ in range(30):
+        short = random_residues(rng, "WCYHM", 2, 6)
+        long = random_residues(rng, CANONICAL_RESIDUES, 100, 260)
+        at = rng.randint(0, len(long))
+        assert assert_score_matches_reference(short, long[:at] + short + long[at:]) > 0
+        assert_score_matches_reference(short, long)
+
+
+def test_score_equals_reference_with_runs_far_apart():
+    # WWWWWW packs 8-bit fields (bound 11 * 6 + 15 = 81), so a gap decay of
+    # 256 or more no longer fits one field: the scan must stop doubling
+    # before its shift gets there, although the packed query is longer.
+    for gap in (100, 250, 257, 263, 270, 300, 520):
+        assert assert_score_matches_reference("WWW" + "G" * gap + "WWW", "WWWWWW") == 33
+
+
+def test_score_equals_reference_on_mutated_homologs():
+    rng = random.Random(29)
+    for _ in range(25):
+        a = random_residues(rng, CANONICAL_RESIDUES + "X", 20, 120)
+        assert_score_matches_reference(a, mutated_homolog(rng, a))
+
+
+def test_score_fills_the_widest_field():
+    # 3000 W|W pairs score 11 each: the bound 11 * 3000 + 15 = 33015 needs
+    # 16 value bits, and a field one bit narrower overflows.
+    w = "W" * 3000
+    assert local_score(score_profile(seq(w), len(w)), w) == 33000
 
 
 # --- statistics -------------------------------------------------------------
@@ -455,6 +540,90 @@ def test_load_reference_store_requires_annotations(tmp_path):
     ann.write_text(json.dumps({"accessions": ["OTHER"], "protein_name": "x"}) + "\n")
     with pytest.raises(MissingAnnotationError):
         homology.load_reference_store(str(fasta), str(ann))
+
+
+# --- score-first search against the align-everything oracle ---------------
+
+
+def assert_search_matches_reference(index, query, min_seq_ids=(0.0, 0.3, 0.6, 0.9, 1.0)) -> list:
+    hits = []
+    for min_seq_id in min_seq_ids:
+        hit = search_best_hit(index, query, min_seq_id=min_seq_id)
+        assert hit == reference_search_best_hit(index, query, min_seq_id=min_seq_id), (query, min_seq_id)
+        hits.append(hit)
+    return hits
+
+
+def test_equal_scores_rank_by_accession_not_store_order():
+    rng = random.Random(31)
+    res = random_residues(rng, CANONICAL_RESIDUES, 60, 60)
+    decoy = res[:30] + random_residues(rng, CANONICAL_RESIDUES, 30, 30)
+    index = build_index([entry("Z9", res), entry("B0", decoy), entry("M5", res), entry("A1", res)])
+    query = seq(mutated_homolog(rng, res), "query")
+    hits = assert_search_matches_reference(index, query)
+    assert hits[0].target == "A1"
+
+
+# A positive-scoring neighbour of most residues: a swapped sequence keeps a
+# high score against the original, at low identity.
+NEIGHBOUR = {"I": "V", "V": "I", "L": "M", "M": "L", "K": "R", "R": "K", "E": "Q", "Q": "E",
+             "D": "E", "N": "S", "S": "T", "T": "S", "F": "Y", "Y": "F", "H": "Y", "W": "Y"}
+
+
+def neighbour_swapped(residues: str, keep: int) -> str:
+    """The first `keep` residues as they are (shared k-mers for the
+    prefilter), every later one swapped for its neighbour."""
+    return residues[:keep] + "".join(NEIGHBOUR.get(c, c) for c in residues[keep:])
+
+
+def test_top_scorer_failing_min_seq_id_gives_way():
+    # TOP keeps the query's first 12 residues and swaps the rest for
+    # positive-scoring neighbours: the best score, at low identity. EXACT is
+    # a 25-residue piece of the query: less score, full identity.
+    rng = random.Random(37)
+    q = random_residues(rng, CANONICAL_RESIDUES, 90, 90)
+    top = neighbour_swapped(q, 12)
+    index = build_index([entry("TOP", top), entry("EXACT", q[40:65])])
+    query = seq(q, "query")
+    top_aln, exact_aln = (smith_waterman(query, e.sequence) for e in index.entries)
+    assert top_aln.score > exact_aln.score
+    assert top_aln.identities / top_aln.aligned_length < 0.8
+    hits = assert_search_matches_reference(index, query, min_seq_ids=(0.0, 0.8, 1.0))
+    assert [h.target for h in hits] == ["TOP", "EXACT", "EXACT"]
+
+
+def test_search_equals_reference_on_random_stores():
+    rng = random.Random(41)
+    bases = [random_residues(rng, CANONICAL_RESIDUES + "X", 30, 150) for _ in range(25)]
+    entries = [entry(f"B{i:02d}", b) for i, b in enumerate(bases[:20])]
+    for i, b in enumerate(bases[:15]):
+        entries.append(entry(f"H{i:02d}", mutated_homolog(rng, b)))
+    # The last five bases only as a high-scoring, low-identity swap and an
+    # exact piece that scores less.
+    for i, b in enumerate(bases[20:], 20):
+        entries += [entry(f"S{i:02d}", neighbour_swapped(b, 12)), entry(f"P{i:02d}", b[len(b) // 3 :][:25])]
+    # Copies of bases under accessions that sort before the originals,
+    # placed after them in the store.
+    entries += [entry(f"A{i:02d}", bases[i]) for i in range(0, 20, 4)]
+    entries += random_store(rng, CANONICAL_RESIDUES + "X", 20)
+    index = build_index(entries)
+    queries = [mutated_homolog(rng, b) for b in bases] + bases[20:] + [b[10:60] for b in bases[:5]]
+    queries += [random_residues(rng, "CWHM", 20, 60) for _ in range(5)]  # share no 5-mer
+    found = copies = passed_over = empty = 0
+    for i, q in enumerate(queries):
+        query = seq(q, f"q{i}")
+        hits = assert_search_matches_reference(index, query)
+        ordinals = _candidate_ordinals(index, query, DEFAULT_KMER_HIT_THRESHOLD)
+        top = max((aln.score for o in ordinals if (aln := smith_waterman(query, entries[o].sequence))), default=0)
+        empty += not ordinals
+        for hit in filter(None, hits):
+            found += 1
+            copies += hit.target.startswith("A")
+            passed_over += round(bit_score(top), 1) > hit.bits
+    # Not vacuous: 119 hits, 22 of them copies that win on accession alone,
+    # 12 that rank below a candidate failing min_seq_id, and 6 queries with
+    # no candidate.
+    assert found >= 100 and copies >= 15 and passed_over >= 8 and empty >= 5
 
 
 def test_search_repeatable_best_hit(store_index):
