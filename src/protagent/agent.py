@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from .backends import ChatMessage, DecodingParams, LlmBackend
-from .errors import BackendError
+from .errors import BackendError, SchemaError
 from .executor import SessionContext, SessionLimits, ToolCall, ToolRegistry, invoke
 from .seq import Sequence
 from .templates import BASELINE_TEMPLATE, RAG_TEMPLATE, TOOL_AGENT_TEMPLATE, sequence_block
@@ -112,8 +112,13 @@ def trace_from_json(obj: dict) -> ConversationTrace:
 
 
 def load_trace(path: str) -> ConversationTrace:
+    """Read a trace written by save_trace; SchemaError for any file that is
+    not one (invalid JSON, a missing or mistyped field)."""
     with open(path, encoding="utf-8") as fh:
-        return trace_from_json(json.load(fh))
+        try:
+            return trace_from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise SchemaError(f"{path} is not a saved trace: {type(exc).__name__}: {exc}") from exc
 
 
 def save_trace(trace: ConversationTrace, path: str) -> None:

@@ -18,6 +18,8 @@ import requests
 from .errors import BackendError, ConfigError, SchemaError
 from .executor import ToolCall
 
+REQUEST_TIMEOUT_S = 120.0
+
 
 @dataclass(frozen=True)
 class DecodingParams:
@@ -118,20 +120,13 @@ class ScriptedBackend:
 class HttpChatBackend:
     """Remote chat-completion endpoint speaking the function-calling protocol."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: str = "PROTAGENT_API_KEY",
-        request_timeout_s: float = 120.0,
-    ):
+    def __init__(self, endpoint: str, model: str, api_key_env: str = "PROTAGENT_API_KEY"):
         api_key = os.environ.get(api_key_env)
         if not api_key:
             raise ConfigError(f"environment variable {api_key_env} is not set (required for remote backend)")
         self.endpoint = endpoint
         self.model = model
         self._api_key = api_key
-        self.request_timeout_s = request_timeout_s
 
     def complete(self, messages, tools, decoding: DecodingParams) -> ChatMessage:
         body = {
@@ -147,7 +142,7 @@ class HttpChatBackend:
                 self.endpoint,
                 json=body,
                 headers={"Authorization": f"Bearer {self._api_key}"},
-                timeout=self.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
             resp.raise_for_status()
             data = resp.json()

@@ -236,7 +236,7 @@ def trace_show(path):
     """Render a stored trace in the human-readable chat layout."""
     try:
         loaded = agent.load_trace(path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ProtAgentError, OSError) as exc:
         raise click.ClickException(f"cannot read trace {path}: {exc}")
     click.echo(agent.render_trace(loaded), nl=False)
 

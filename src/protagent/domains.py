@@ -342,18 +342,17 @@ def viterbi_score(hmm: ProfileHmm, seq: Sequence):
     return (best, hmm_from, hmm_to, ali_from, ali_to)
 
 
-def select_domains(
-    hits: list[DomainHit], selection_threshold: float = DEFAULT_SELECTION_THRESHOLD
-) -> list[DomainHit]:
+def select_domains(hits: list[DomainHit]) -> list[DomainHit]:
     """Greedy non-overlapping selection in E-value order.
 
-    Scans hits in ascending-E order, keeps those at or below the threshold
-    that do not overlap an already-selected hit on sequence coordinates.
+    Scans hits in ascending-E order, keeps those at or below
+    DEFAULT_SELECTION_THRESHOLD that do not overlap an already-selected hit
+    on sequence coordinates.
     """
     ordered = sorted(hits, key=lambda h: (h.evalue, -h.score, h.pfam_acc))
     selected: list[DomainHit] = []
     for hit in ordered:
-        if hit.evalue > selection_threshold:
+        if hit.evalue > DEFAULT_SELECTION_THRESHOLD:
             continue
         if any(hit.ali_from <= s.ali_to and s.ali_from <= hit.ali_to for s in selected):
             continue
@@ -361,16 +360,11 @@ def select_domains(
     return selected
 
 
-def scan(
-    library: list[ProfileHmm],
-    seq: Sequence,
-    report_threshold: float = DEFAULT_REPORT_THRESHOLD,
-    selection_threshold: float = DEFAULT_SELECTION_THRESHOLD,
-) -> DomainScanResult:
+def scan(library: list[ProfileHmm], seq: Sequence) -> DomainScanResult:
     """Score every profile and assemble the ranked hit list.
 
-    E = N_models * max(1, len/100) * 2^(-bits); hits above the report
-    threshold are dropped.
+    E = N_models * max(1, len/100) * 2^(-bits); hits above
+    DEFAULT_REPORT_THRESHOLD are dropped.
     """
     if not library:
         raise EmptyLibraryError("domain scan with an empty profile library")
@@ -382,7 +376,7 @@ def scan(
             continue
         bits, hmm_from, hmm_to, ali_from, ali_to = result
         evalue = len(library) * length_factor * (2.0 ** (-bits))
-        if evalue > report_threshold:
+        if evalue > DEFAULT_REPORT_THRESHOLD:
             continue
         hits.append(
             DomainHit(
@@ -402,5 +396,5 @@ def scan(
     hits.sort(key=lambda h: (h.evalue, -h.score, h.pfam_acc))
     return DomainScanResult(
         hits=tuple(hits),
-        selected_domains=tuple(select_domains(hits, selection_threshold)),
+        selected_domains=tuple(select_domains(hits)),
     )

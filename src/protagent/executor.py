@@ -7,7 +7,7 @@ session audit log records one entry per invocation, in order.
 
 Handlers run on the calling thread. The timeout is checked when the
 handler returns, against the session clock, and is not preemptive: a
-handler that overruns `timeout_s` runs to completion, and its result is
+handler that overruns DEFAULT_TIMEOUT_S runs to completion, and its result is
 then replaced by a `timeout` envelope.
 """
 
@@ -52,7 +52,6 @@ _TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
 class ParamSpec:
     type: str
     description: str = ""
-    required: bool = False
 
     def __post_init__(self):
         if self.type not in _TYPE_CHECKS:
@@ -79,7 +78,7 @@ class ToolDescriptor:
                         name: {"type": spec.type, "description": spec.description}
                         for name, spec in self.parameters.items()
                     },
-                    "required": [n for n, s in self.parameters.items() if s.required],
+                    "required": [],
                 },
             },
         }
@@ -103,22 +102,18 @@ class ToolResponse:
 @dataclass(frozen=True)
 class SessionLimits:
     max_calls: int = DEFAULT_MAX_CALLS
-    timeout_s: float = DEFAULT_TIMEOUT_S
 
 
 @dataclass
 class SessionContext:
-    """Per-session state: named sequences, limits, and the audit log."""
+    """Per-session state: the query sequence (`sequence_ref` "query"),
+    limits, and the audit log."""
 
     query_sequence: Sequence
-    named_sequences: dict[str, Sequence] = field(default_factory=dict)
     limits: SessionLimits = field(default_factory=SessionLimits)
     audit: list[tuple[ToolCall, ToolResponse]] = field(default_factory=list)
     calls_made: int = 0
     clock: Callable[[], float] = time.perf_counter
-
-    def __post_init__(self):
-        self.named_sequences.setdefault("query", self.query_sequence)
 
 
 class ToolRegistry:
@@ -147,8 +142,9 @@ def resolve_arguments(registry: ToolRegistry, call: ToolCall, ctx: SessionContex
 
     Every argument must be declared and of its ParamSpec type: a `string`
     is a str, a `number` an int that is not a bool or a finite float. Then
-    `sequence_ref` is replaced by a `sequence` key bound to the referenced
-    Sequence from the session, and a literal `sequence` is validated.
+    `sequence_ref` is replaced by a `sequence` key bound to the session's
+    query sequence (the only name is "query"), and a literal `sequence` is
+    validated.
     """
     descriptor = registry.get(call.name)
     if descriptor is None:
@@ -166,17 +162,14 @@ def resolve_arguments(registry: ToolRegistry, call: ToolCall, ctx: SessionContex
         raise ResolutionError("ambiguous_argument", "both 'sequence' and 'sequence_ref' given")
     if "sequence_ref" in args:
         ref = args.pop("sequence_ref")
-        if ref not in ctx.named_sequences:
+        if ref != "query":
             raise ResolutionError("unknown_reference", f"no sequence named {ref!r} in this session")
-        args["sequence"] = ctx.named_sequences[ref]
+        args["sequence"] = ctx.query_sequence
     elif "sequence" in args:
         try:
             args["sequence"] = validate_sequence("inline", args["sequence"])
         except ProtAgentError as exc:
             raise ResolutionError("invalid_arguments", str(exc)) from exc
-    for name, spec in descriptor.parameters.items():
-        if spec.required and name not in args:
-            raise ResolutionError("invalid_arguments", f"missing required argument {name!r}")
     if "sequence" in descriptor.parameters and "sequence" not in args:
         raise ResolutionError("invalid_arguments", "either 'sequence' or 'sequence_ref' is required")
     return args
@@ -215,13 +208,15 @@ def _invoke_inner(registry: ToolRegistry, call: ToolCall, ctx: SessionContext) -
         payload = descriptor.handler(args, ctx)
     except NotSupportedError as exc:
         failure = ("not_supported", str(exc))
+    except ResolutionError as exc:  # an argument only the handler can check
+        failure = (exc.error_kind, str(exc))
     except ProtAgentError as exc:
         failure = ("tool_error", str(exc))
     except Exception as exc:  # handler bugs become envelopes, not crashes
         failure = ("tool_error", f"{type(exc).__name__}: {exc}")
     elapsed = ctx.clock() - start
-    if elapsed > ctx.limits.timeout_s:
-        failure = ("timeout", f"tool {call.name!r} exceeded {ctx.limits.timeout_s}s")
+    if elapsed > DEFAULT_TIMEOUT_S:
+        failure = ("timeout", f"tool {call.name!r} exceeded {DEFAULT_TIMEOUT_S}s")
     if failure is not None:
         return _error_response(call, *failure, elapsed)
     return ToolResponse(call_id=call.call_id, ok=True, payload=payload, elapsed=elapsed)
@@ -243,9 +238,9 @@ def build_standard_registry(
     index: homology.ReferenceIndex | None = None,
     annotations: dict[str, homology.AnnotationRecord] | None = None,
     hmm_library: list[domains.ProfileHmm] | None = None,
-    python_eval_handler: Callable[[dict, SessionContext], dict] | None = None,
 ) -> ToolRegistry:
-    """Registry with the four evidence tools plus the python_eval stub.
+    """Registry with the four evidence tools plus the python_eval stub,
+    which always returns a not_supported envelope.
 
     Tools whose backing store is not supplied still exist on the wire and
     return tool_error envelopes when called.
@@ -255,11 +250,12 @@ def build_standard_registry(
         return props.compute_basic_props(args["sequence"]).to_payload()
 
     def homology_handler(args, ctx):
+        min_seq_id = args.get("min_seq_id", homology.DEFAULT_MIN_SEQ_ID)
+        if not 0 <= min_seq_id <= 1:
+            raise ResolutionError("invalid_arguments", f"min_seq_id must be in [0, 1], got {min_seq_id!r}")
         if index is None or annotations is None:
             raise ProtAgentError("no reference store configured for homology search")
-        hit = homology.search_best_hit(
-            index, args["sequence"], min_seq_id=args.get("min_seq_id", homology.DEFAULT_MIN_SEQ_ID)
-        )
+        hit = homology.search_best_hit(index, args["sequence"], min_seq_id=min_seq_id)
         if hit is None:
             return {"best_hit": None, "uniprot_annotation": None}
         return homology.make_evidence(hit, annotations)
@@ -310,7 +306,7 @@ def build_standard_registry(
             name="python_eval",
             description="Compute additional properties with Python (disabled by default)",
             parameters={"code": ParamSpec("string", "Python expression to evaluate")},
-            handler=python_eval_handler or _not_supported,
+            handler=_not_supported,
         )
     )
     return registry

@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from .blosum62 import BLOSUM62
-from .errors import EmptyIndexError, MissingAnnotationError, SchemaError
+from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError
 from .seq import Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
@@ -84,13 +84,26 @@ class AnnotationRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "AnnotationRecord":
+    def from_json(cls, obj) -> "AnnotationRecord":
+        """Read a record from its JSON object; SchemaError unless protein_name
+        is a string and every other field present is a list of strings."""
+        if not isinstance(obj, dict):
+            raise SchemaError(f"annotation record is not a JSON object: {obj!r}")
         values = {}
         for f in fields(cls):
-            if f.name in obj:
-                values[f.name] = obj[f.name] if f.type == "str" else tuple(obj[f.name])
-            elif f.default is MISSING:
-                raise SchemaError(f"annotation record missing field {f.name!r}")
+            if f.name not in obj:
+                if f.default is MISSING:
+                    raise SchemaError(f"annotation record missing field {f.name!r}")
+                continue
+            value = obj[f.name]
+            if f.type == "str":
+                if not isinstance(value, str):
+                    raise SchemaError(f"annotation field {f.name!r} must be a string, got {value!r}")
+            elif isinstance(value, list) and all(isinstance(v, str) for v in value):
+                value = tuple(value)
+            else:
+                raise SchemaError(f"annotation field {f.name!r} must be a list of strings, got {value!r}")
+            values[f.name] = value
         return cls(**values)
 
 
@@ -133,7 +146,6 @@ class ReferenceIndex:
     code << 42 | ordinal << 20 | offset keys, 8 bytes per indexed k-mer."""
 
     entries: list[ReferenceEntry]
-    k: int
     keys: array = field(repr=False)
 
     @cached_property
@@ -141,33 +153,31 @@ class ReferenceIndex:
         return sum(e.sequence.length for e in self.entries)
 
 
-def _kmer_codes(residues: str, k: int) -> list[int]:
-    """Base-21 code of every k-mer of residues (digits in KMER_ALPHABET
-    order), by start offset; empty when residues is shorter than k."""
+def _kmer_codes(residues: str) -> list[int]:
+    """Base-21 code of every 5-mer of residues (digits in KMER_ALPHABET
+    order), by start offset; empty when residues is shorter than 5."""
     digits = [_KMER_DIGIT[c] for c in residues]
-    lead_weight = 21 ** (k - 1)
+    lead_weight = 21 ** (DEFAULT_K - 1)
     code = 0
-    for d in digits[: k - 1]:
+    for d in digits[: DEFAULT_K - 1]:
         code = code * 21 + d
     codes = []
-    for lead, d in zip(digits, digits[k - 1 :]):
+    for lead, d in zip(digits, digits[DEFAULT_K - 1 :]):
         code = code * 21 + d
         codes.append(code)
         code -= lead * lead_weight
     return codes
 
 
-def build_index(entries: list[ReferenceEntry], k: int = DEFAULT_K) -> ReferenceIndex:
-    """Build the sorted k-mer key array of a store.
+def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
+    """Build the sorted 5-mer key array of a store.
 
-    Entries shorter than k contribute zero k-mers (warning, not fatal). A
-    key holds k in [3, 5], at most MAX_ENTRIES entries and at most
+    Entries shorter than 5 residues contribute zero k-mers (warning, not
+    fatal). A key holds at most MAX_ENTRIES entries and at most
     MAX_ENTRY_RESIDUES residues per entry; beyond them nothing is built.
     """
     if not entries:
         raise EmptyIndexError("cannot build an index over zero entries")
-    if not 3 <= k <= 5:
-        raise ValueError(f"k must be in [3, 5], got {k}")
     if len(entries) > MAX_ENTRIES:
         raise SchemaError(f"a store holds at most {MAX_ENTRIES} entries, got {len(entries)}")
     for entry in entries:
@@ -179,14 +189,14 @@ def build_index(entries: list[ReferenceEntry], k: int = DEFAULT_K) -> ReferenceI
     # One bucket per leading residue, each sorted on its own into an array of
     # the final size: no list of Python ints and no sort buffer ever spans
     # the whole store.
-    lead_weight = 21 ** (k - 1)
+    lead_weight = 21 ** (DEFAULT_K - 1)
     buckets = [array("Q") for _ in KMER_ALPHABET]
     for ordinal, entry in enumerate(entries):
         res = entry.sequence.residues
-        if len(res) < k:
-            log.warning("entry %s shorter than k=%d; indexed with zero k-mers", entry.accession, k)
+        if len(res) < DEFAULT_K:
+            log.warning("entry %s shorter than k=%d; indexed with zero k-mers", entry.accession, DEFAULT_K)
             continue
-        for site, code in enumerate(_kmer_codes(res, k), ordinal << _OFFSET_BITS):
+        for site, code in enumerate(_kmer_codes(res), ordinal << _OFFSET_BITS):
             buckets[code // lead_weight].append(code << _CODE_SHIFT | site)
     keys = array("Q", [0]) * sum(map(len, buckets))
     end = 0
@@ -194,7 +204,7 @@ def build_index(entries: list[ReferenceEntry], k: int = DEFAULT_K) -> ReferenceI
         buckets[lead] = None  # freed once copied
         start, end = end, end + len(bucket)
         keys[start:end] = array("Q", sorted(bucket))
-    return ReferenceIndex(entries=entries, k=k, keys=keys)
+    return ReferenceIndex(entries=entries, keys=keys)
 
 
 def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
@@ -396,11 +406,11 @@ def e_value(bits: float, query_len: int, db_residues: int) -> float:
     return query_len * db_residues * (2.0 ** (-bits))
 
 
-def _candidate_ordinals(index: ReferenceIndex, query: Sequence, hit_threshold: int) -> list[int]:
-    """Entries sharing >= hit_threshold k-mers on nearby diagonals."""
+def _candidate_ordinals(index: ReferenceIndex, query: Sequence) -> list[int]:
+    """Entries sharing >= DEFAULT_KMER_HIT_THRESHOLD k-mers on nearby diagonals."""
     keys = index.keys
     diagonals: dict[int, list[int]] = {}
-    for qpos, code in enumerate(_kmer_codes(query.residues, index.k)):
+    for qpos, code in enumerate(_kmer_codes(query.residues)):
         lo = bisect_left(keys, code << _CODE_SHIFT)
         end = (code + 1) << _CODE_SHIFT
         if lo == len(keys) or keys[lo] >= end:
@@ -409,21 +419,17 @@ def _candidate_ordinals(index: ReferenceIndex, query: Sequence, hit_threshold: i
         for key in keys[lo:hi]:
             diagonals.setdefault(key >> _OFFSET_BITS & _ORDINAL_MASK, []).append(qpos - (key & _OFFSET_MASK))
     out = []
+    last = DEFAULT_KMER_HIT_THRESHOLD - 1
     for ordinal, diags in diagonals.items():
         diags.sort()
-        for lo in range(len(diags) - hit_threshold + 1):
-            if diags[lo + hit_threshold - 1] - diags[lo] <= DIAGONAL_BAND:
+        for lo in range(len(diags) - last):
+            if diags[lo + last] - diags[lo] <= DIAGONAL_BAND:
                 out.append(ordinal)
                 break
     return sorted(out)
 
 
-def search_best_hit(
-    index: ReferenceIndex,
-    query: Sequence,
-    min_seq_id: float = DEFAULT_MIN_SEQ_ID,
-    kmer_hit_threshold: int = DEFAULT_KMER_HIT_THRESHOLD,
-) -> BestHit | None:
+def search_best_hit(index: ReferenceIndex, query: Sequence, min_seq_id: float = DEFAULT_MIN_SEQ_ID) -> BestHit | None:
     """Best hit by (lowest E-value, highest bits, lexicographic accession)
     among the prefilter candidates that pass min_seq_id.
 
@@ -436,7 +442,7 @@ def search_best_hit(
     """
     if not index.entries:
         raise EmptyIndexError("search against an empty index")
-    ordinals = _candidate_ordinals(index, query, kmer_hit_threshold)
+    ordinals = _candidate_ordinals(index, query)
     if not ordinals:
         return None
     entries = index.entries
@@ -487,8 +493,14 @@ def load_annotations(path: str) -> dict[str, AnnotationRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"annotation line {line_no} is not valid JSON: {exc}") from exc
-            record = AnnotationRecord.from_json(obj)
-            out[obj.get("accession", record.accessions[0])] = record
+            try:
+                record = AnnotationRecord.from_json(obj)
+            except SchemaError as exc:
+                raise SchemaError(f"annotation line {line_no}: {exc}") from exc
+            accession = obj.get("accession", record.accessions[0])
+            if not isinstance(accession, str):
+                raise SchemaError(f"annotation line {line_no}: accession must be a string, got {accession!r}")
+            out[accession] = record
     return out
 
 
@@ -510,19 +522,34 @@ def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
 
 
 def load_built_store(path: str) -> list[ReferenceEntry]:
-    """Load a store written by save_built_store."""
+    """Load a store written by save_built_store.
+
+    Invalid JSON, a file without an 'entries' list, and an entry that is not
+    an object with string accession and sequence and a valid annotation
+    raise SchemaError; an entry's error names its 1-based position.
+    """
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "entries" not in obj:
-        raise SchemaError(f"{path} is not a built reference store (no 'entries' key)")
-    return [
-        ReferenceEntry(
-            accession=e["accession"],
-            sequence=validate_sequence(e["accession"], e["sequence"]),
-            annotation=AnnotationRecord.from_json(e["annotation"]),
-        )
-        for e in obj["entries"]
-    ]
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+        raise SchemaError(f"{path} is not a built reference store (no 'entries' list)")
+    entries = []
+    for n, e in enumerate(obj["entries"], start=1):
+        try:
+            if not (isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("accession", "sequence"))):
+                raise SchemaError("not an object with a string accession and sequence")
+            entries.append(
+                ReferenceEntry(
+                    accession=e["accession"],
+                    sequence=validate_sequence(e["accession"], e["sequence"]),
+                    annotation=AnnotationRecord.from_json(e.get("annotation")),
+                )
+            )
+        except ProtAgentError as exc:
+            raise SchemaError(f"{path}: store entry {n}: {exc}") from exc
+    return entries
 
 
 def load_reference_store(fasta_path: str, annotations_path: str) -> list[ReferenceEntry]:

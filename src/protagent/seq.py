@@ -14,6 +14,7 @@ from .errors import EmptyInputError, EmptySequenceError, InvalidResidueError
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 ALPHABET = frozenset(CANONICAL_RESIDUES) | {"X"}
+FASTA_LINE_WIDTH = 60
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,13 @@ def parse_fasta(text: str) -> list[FastaRecord]:
     return records
 
 
-def write_fasta(records: list[FastaRecord], width: int = 60) -> str:
-    """Serialize records back to FASTA text (inverse of parse_fasta)."""
+def write_fasta(records: list[FastaRecord]) -> str:
+    """Serialize records back to FASTA text (inverse of parse_fasta), with
+    FASTA_LINE_WIDTH residues per line."""
     out = []
     for rec in records:
         out.append(f">{rec.header}")
         res = rec.sequence.residues
-        for i in range(0, len(res), width):
-            out.append(res[i : i + width])
+        for i in range(0, len(res), FASTA_LINE_WIDTH):
+            out.append(res[i : i + FASTA_LINE_WIDTH])
     return "\n".join(out) + "\n"

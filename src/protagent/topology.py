@@ -46,9 +46,10 @@ class TopologyPrediction:
         }
 
 
-def window_means(seq: Sequence, window: int) -> list[float]:
-    """Centered-window hydropathy means; edge windows are truncated."""
-    half = window // 2
+def window_means(seq: Sequence) -> list[float]:
+    """Hydropathy means over DEFAULT_WINDOW residues centred on each
+    residue; edge windows are truncated."""
+    half = DEFAULT_WINDOW // 2
     values = [KYTE_DOOLITTLE[c] for c in seq.residues]
     n = len(values)
     means = []
@@ -59,30 +60,19 @@ def window_means(seq: Sequence, window: int) -> list[float]:
     return means
 
 
-def predict_topology(
-    seq: Sequence,
-    window: int = DEFAULT_WINDOW,
-    strong_threshold: float = DEFAULT_STRONG_THRESHOLD,
-    weak_threshold: float = DEFAULT_WEAK_THRESHOLD,
-    min_run: int = MIN_SEGMENT_RUN,
-    heuristic_min_hits: int = HEURISTIC_MIN_HITS,
-) -> TopologyPrediction:
+def predict_topology(seq: Sequence) -> TopologyPrediction:
     """Per-residue topology states over { '.', 'H', 'h' }."""
-    if window % 2 == 0 or window < 5:
-        raise ValueError(f"window must be odd and >= 5, got {window}")
-    if window > 2 * seq.length:
-        raise DegenerateWindowError(
-            f"window {window} too large for sequence of length {seq.length}"
-        )
+    if DEFAULT_WINDOW > 2 * seq.length:
+        raise DegenerateWindowError(f"window {DEFAULT_WINDOW} too large for sequence of length {seq.length}")
     states = [
-        "H" if m >= strong_threshold else "h" if m >= weak_threshold else "."
-        for m in window_means(seq, window)
+        "H" if m >= DEFAULT_STRONG_THRESHOLD else "h" if m >= DEFAULT_WEAK_THRESHOLD else "."
+        for m in window_means(seq)
     ]
     line = "".join(states)
     # Demote helix-like runs too short to span a membrane.
     out = list(line)
     for m in re.finditer(r"[Hh]+", line):
-        if m.end() - m.start() < min_run:
+        if m.end() - m.start() < MIN_SEGMENT_RUN:
             for i in range(m.start(), m.end()):
                 out[i] = "."
     state_line = "".join(out)
@@ -90,5 +80,5 @@ def predict_topology(
     return TopologyPrediction(
         raw_pred=f">{seq.id}\n{seq.residues}\n{state_line}",
         tm_signal_letter_hits=hits,
-        has_tm_signal_heuristic=hits >= heuristic_min_hits,
+        has_tm_signal_heuristic=hits >= HEURISTIC_MIN_HITS,
     )

@@ -12,7 +12,6 @@ from protagent.blosum62 import BLOSUM62
 from protagent.domains import RESIDUE_ORDER, ProfileHmm
 from protagent.errors import EmptyIndexError
 from protagent.homology import (
-    DEFAULT_KMER_HIT_THRESHOLD,
     DEFAULT_MIN_SEQ_ID,
     Alignment,
     BestHit,
@@ -234,54 +233,53 @@ def _sw_traceback(ra, rb, score, ph_rows, pe_rows, pf_rows, i, j) -> Alignment:
 
 # --- k-mer prefilter ---------------------------------------------------------
 
+K = 5
+HIT_THRESHOLD = 2
 DIAGONAL_BAND = 16
 
 
-def _reference_postings(entries, k: int) -> dict[str, list[tuple[int, int]]]:
+def _reference_postings(entries) -> dict[str, list[tuple[int, int]]]:
     """The dict k-mer -> [(entry ordinal, offset)] inverted index."""
     postings: dict[str, list[tuple[int, int]]] = {}
     for ordinal, entry in enumerate(entries):
         res = entry.sequence.residues
-        if len(res) < k:
+        if len(res) < K:
             continue
-        for off in range(len(res) - k + 1):
-            postings.setdefault(res[off : off + k], []).append((ordinal, off))
+        for off in range(len(res) - K + 1):
+            postings.setdefault(res[off : off + K], []).append((ordinal, off))
     for plist in postings.values():
         plist.sort()
     return postings
 
 
-def reference_candidate_ordinals(entries, k: int, query: Sequence, hit_threshold: int) -> list[int]:
-    """Entries sharing >= hit_threshold k-mers on nearby diagonals, looked
+def reference_candidate_ordinals(entries, query: Sequence) -> list[int]:
+    """Entries sharing >= HIT_THRESHOLD 5-mers on nearby diagonals, looked
     up by k-mer string in a dict of postings lists."""
-    postings = _reference_postings(entries, k)
+    postings = _reference_postings(entries)
     res = query.residues
     diagonals: dict[int, list[int]] = {}
-    for qpos in range(len(res) - k + 1):
-        for ordinal, off in postings.get(res[qpos : qpos + k], ()):
+    for qpos in range(len(res) - K + 1):
+        for ordinal, off in postings.get(res[qpos : qpos + K], ()):
             diagonals.setdefault(ordinal, []).append(qpos - off)
     out = []
     for ordinal, diags in diagonals.items():
         diags.sort()
-        for lo in range(len(diags) - hit_threshold + 1):
-            if diags[lo + hit_threshold - 1] - diags[lo] <= DIAGONAL_BAND:
+        for lo in range(len(diags) - HIT_THRESHOLD + 1):
+            if diags[lo + HIT_THRESHOLD - 1] - diags[lo] <= DIAGONAL_BAND:
                 out.append(ordinal)
                 break
     return sorted(out)
 
 
 def reference_search_best_hit(
-    index: ReferenceIndex,
-    query: Sequence,
-    min_seq_id: float = DEFAULT_MIN_SEQ_ID,
-    kmer_hit_threshold: int = DEFAULT_KMER_HIT_THRESHOLD,
+    index: ReferenceIndex, query: Sequence, min_seq_id: float = DEFAULT_MIN_SEQ_ID
 ) -> BestHit | None:
     """Best hit by (lowest E-value, highest bits, lexicographic accession):
     every prefilter candidate aligned in full, then the ones passing
     min_seq_id ranked."""
     if not index.entries:
         raise EmptyIndexError("search against an empty index")
-    ordinals = _candidate_ordinals(index, query, kmer_hit_threshold)
+    ordinals = _candidate_ordinals(index, query)
     if not ordinals:
         return None
 

@@ -189,10 +189,17 @@ def test_acceptance_topology_consistency():
     rng = random.Random(505)
     import re
 
-    bad = 0
-    for _ in range(1000):
+    bad = kept = demoted = 0
+    for i in range(1000):
+        # 10 residues is the shortest the 19-residue window takes; every
+        # other sequence gets a hydrophobic stretch, so runs to keep and to
+        # demote both occur.
         res = random_residues(rng, 10, 120)
-        pred = topology.predict_topology(Sequence(id="t", residues=res), window=9)
+        if i % 2:
+            cut = rng.randint(0, len(res))
+            res = res[:cut] + "".join(rng.choice("AILMFVW") for _ in range(rng.randint(5, 25))) + res[cut:]
+        s = Sequence(id="t", residues=res)
+        pred = topology.predict_topology(s)
         lines = pred.raw_pred.splitlines()
         ok = (
             len(lines) == 3
@@ -204,7 +211,11 @@ def test_acceptance_topology_consistency():
         )
         if not ok:
             bad += 1
-    check("topology: 1000 random sequences keep the output contract", bad == 0, f"{bad} violations")
+        kept += "H" in lines[2] or "h" in lines[2]
+        means = topology.window_means(s)
+        demoted += any(m >= topology.DEFAULT_WEAK_THRESHOLD and c == "." for m, c in zip(means, lines[2]))
+    check("topology: 1000 random sequences keep the output contract", bad == 0 and kept >= 300 and demoted >= 300,
+          f"{bad} violations, {kept} with kept runs, {demoted} with demoted runs")
 
 
 # --- criterion 5: evaluation metrics -----------------------------------------

@@ -71,6 +71,30 @@ def test_trace_round_trip(tmp_path, registry, mscl_seq):
     assert load_trace(str(path)) == result.trace
 
 
+def trace_with(*messages) -> dict:
+    return {"session_id": "s", "created_at": "t", "paradigm": "direct", "messages": list(messages)}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="invalid-json"),
+        pytest.param("[1]", id="list"),
+        pytest.param("null", id="null"),
+        pytest.param({"session_id": "s"}, id="no-messages"),
+        pytest.param(trace_with(5), id="message-number"),
+        pytest.param(trace_with({"content": "x"}), id="message-without-role"),
+        pytest.param(trace_with({"role": "assistant", "content": None}), id="assistant-without-content"),
+        pytest.param(trace_with({"role": "assistant", "tool_calls": [{"name": "x"}]}), id="tool-call-without-id"),
+    ],
+)
+def test_load_trace_raises_only_schema_errors(tmp_path, text):
+    path = tmp_path / "trace.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    with pytest.raises(SchemaError, match="is not a saved trace"):
+        load_trace(str(path))
+
+
 def test_render_trace_layout():
     trace = trace_from_json(
         {

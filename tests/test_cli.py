@@ -230,6 +230,14 @@ def test_trace_show_bad_path(runner):
     assert result.exit_code != 0
 
 
+def test_trace_show_non_trace_is_a_message(runner, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    result = runner.invoke(main, ["trace", "show", str(path)])
+    assert result.exit_code == 1
+    assert "cannot read trace" in result.output and "is not a saved trace" in result.output
+
+
 def test_synth_prompts(runner, tmp_path):
     out = tmp_path / "prompts.jsonl"
     result = runner.invoke(

@@ -1,9 +1,9 @@
 import threading
-import time
 
 import pytest
 
 from protagent.executor import (
+    DEFAULT_TIMEOUT_S,
     DuplicateToolError,
     ParamSpec,
     SessionContext,
@@ -132,14 +132,20 @@ def test_handler_exception_becomes_tool_error():
     assert "ZeroDivisionError" in resp.payload["message"]
 
 
+def jumping_clock(seconds: float):
+    """A session clock that reads 0.0 before the handler and `seconds` after."""
+    return iter([0.0, seconds]).__next__
+
+
 def test_timeout_envelope():
     registry = ToolRegistry()
-    registry.register(
-        ToolDescriptor(name="slow", description="", parameters={}, handler=lambda a, c: time.sleep(1))
-    )
-    context = ctx(limits=SessionLimits(timeout_s=0.05))
-    resp = invoke(registry, call("slow", {}), context)
-    assert resp.payload["error_kind"] == "timeout"
+    registry.register(ToolDescriptor(name="slow", description="", parameters={}, handler=lambda a, c: {}))
+    resp = invoke(registry, call("slow", {}), ctx(clock=jumping_clock(DEFAULT_TIMEOUT_S + 0.5)))
+    assert resp.payload == {"error_kind": "timeout", "message": f"tool 'slow' exceeded {DEFAULT_TIMEOUT_S}s"}
+    assert resp.elapsed == DEFAULT_TIMEOUT_S + 0.5
+    # A handler that takes exactly the limit is within it.
+    resp = invoke(registry, call("slow", {}), ctx(clock=jumping_clock(DEFAULT_TIMEOUT_S)))
+    assert resp.ok and resp.payload == {}
 
 
 def test_handler_runs_on_calling_thread():
@@ -156,14 +162,13 @@ def test_handler_runs_on_calling_thread():
 
 def test_overrun_then_raise_is_timeout():
     def slow_boom(args, c):
-        time.sleep(0.1)
         raise RuntimeError("late failure")
 
     registry = ToolRegistry()
     registry.register(ToolDescriptor(name="slow_boom", description="", parameters={}, handler=slow_boom))
-    resp = invoke(registry, call("slow_boom", {}), ctx(limits=SessionLimits(timeout_s=0.05)))
+    resp = invoke(registry, call("slow_boom", {}), ctx(clock=jumping_clock(DEFAULT_TIMEOUT_S + 1.0)))
     assert resp.payload["error_kind"] == "timeout"
-    assert resp.elapsed > 0.05
+    assert resp.elapsed > DEFAULT_TIMEOUT_S
 
 
 def test_clock_read_twice_per_dispatched_call_only():
@@ -242,10 +247,26 @@ def test_min_seq_id_argument_passes_through(registry, mscl_seq):
 
 
 def test_named_sequences_resolve():
-    extra = Sequence(id="other", residues="WWWW")
-    context = SessionContext(query_sequence=QUERY, named_sequences={"other": extra})
-    resolved = resolve_arguments(echo_registry(), call("echo", {"sequence_ref": "other"}), context)
-    assert resolved["sequence"] is extra
+    # "query" is the one name a session has; any other is unknown.
+    other = Sequence(id="other", residues="WWWW")
+    context = SessionContext(query_sequence=other)
+    resolved = resolve_arguments(echo_registry(), call("echo", {"sequence_ref": "query"}), context)
+    assert resolved["sequence"] is other
+    for ref in ("other", "Query", ""):
+        resp = invoke(echo_registry(), call("echo", {"sequence_ref": ref}), context)
+        assert resp.payload["error_kind"] == "unknown_reference", ref
+
+
+def test_min_seq_id_outside_unit_interval_is_invalid_arguments(registry, mscl_seq):
+    for min_seq_id in (5, -3, 1.0001, -0.5, 10**400):
+        context = SessionContext(query_sequence=mscl_seq)
+        arguments = {"sequence_ref": "query", "min_seq_id": min_seq_id}
+        resp = invoke(registry, call("mmseqs2_besthit_uniprot", arguments), context)
+        assert resp.payload["error_kind"] == "invalid_arguments", min_seq_id
+        assert "min_seq_id" in resp.payload["message"]
+    for min_seq_id in (0, 1):
+        arguments = {"sequence_ref": "query", "min_seq_id": min_seq_id}
+        assert invoke(registry, call("mmseqs2_besthit_uniprot", arguments), ctx()).ok
 
 
 # JSON values of every kind, and the non-finite floats a lenient parser lets through.

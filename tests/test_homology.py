@@ -16,7 +16,6 @@ from protagent import homology
 from protagent.blosum62 import BLOSUM62, score
 from protagent.errors import EmptyIndexError, MissingAnnotationError, SchemaError
 from protagent.homology import (
-    DEFAULT_KMER_HIT_THRESHOLD,
     MAX_ENTRIES,
     MAX_ENTRY_RESIDUES,
     Alignment,
@@ -311,11 +310,9 @@ def test_bit_score_and_evalue_formulas():
 # --- index and search -------------------------------------------------------
 
 
-def test_build_index_rejects_empty_and_bad_k():
+def test_build_index_rejects_empty_store():
     with pytest.raises(EmptyIndexError):
         build_index([])
-    with pytest.raises(ValueError):
-        build_index([entry("A1", "MLKEFKEF")], k=2)
 
 
 def test_short_entries_warn_but_index(caplog):
@@ -379,11 +376,6 @@ def test_make_evidence_missing_annotation(store_index):
 # --- packed index against the dict postings --------------------------------
 
 
-def test_build_index_rejects_k_beyond_packed_key():
-    with pytest.raises(ValueError, match=r"\[3, 5\]"):
-        build_index([entry("A1", "MLKEFKEF")], k=6)
-
-
 def test_build_index_rejects_overlong_entry_before_indexing(caplog):
     import logging
 
@@ -401,8 +393,8 @@ def test_offsets_up_to_the_entry_limit_decode():
     res = "A" * (half - 3) + "MKWCHPQRDE" + "A" * (half - 17) + "CHWMKDEPQR"
     index = build_index([entry("W0", "MKWCHPQRDE"), entry("EDGE", res)])
     assert len(res) == MAX_ENTRY_RESIDUES
-    assert _candidate_ordinals(index, seq("MKWCHPQRDE"), 4) == [0, 1]
-    assert _candidate_ordinals(index, seq("CHWMKDEPQR"), 2) == [1]
+    assert _candidate_ordinals(index, seq("MKWCHPQRDE")) == [0, 1]
+    assert _candidate_ordinals(index, seq("CHWMKDEPQR")) == [1]
 
 
 def test_build_index_rejects_too_many_entries_before_iterating():
@@ -414,22 +406,21 @@ def test_build_index_rejects_too_many_entries_before_iterating():
         build_index(Uniterable([entry("A1", "MLKEFKEF")] * (MAX_ENTRIES + 1)))
 
 
-def assert_candidates_match_reference(entries, queries, k: int, thresholds=(1, 2, 3)) -> int:
-    """Equal candidate lists for every query and threshold; returns how many
-    of them were nonempty, so a test can tell it was not vacuous."""
-    index = build_index(entries, k=k)
+def assert_candidates_match_reference(entries, queries) -> int:
+    """Equal candidate lists for every query; returns how many of them were
+    nonempty, so a test can tell it was not vacuous."""
+    index = build_index(entries)
     nonempty = 0
     for q in queries:
         query = seq(q, "query")
-        for threshold in thresholds:
-            got = _candidate_ordinals(index, query, threshold)
-            assert got == reference_candidate_ordinals(entries, k, query, threshold), (k, threshold, q)
-            nonempty += bool(got)
+        got = _candidate_ordinals(index, query)
+        assert got == reference_candidate_ordinals(entries, query), q
+        nonempty += bool(got)
     return nonempty
 
 
 def random_store(rng: random.Random, alphabet: str, n: int) -> list[ReferenceEntry]:
-    """Entries of 1-90 residues, some shorter than k, some with homopolymer
+    """Entries of 1-90 residues, some shorter than 5, some with homopolymer
     runs (one k-mer at many offsets) and some with X."""
     entries = []
     for i in range(n):
@@ -441,22 +432,24 @@ def random_store(rng: random.Random, alphabet: str, n: int) -> list[ReferenceEnt
     return entries
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
 @pytest.mark.parametrize("alphabet", [CANONICAL_RESIDUES + "X", "LKDEX", "ACWY"], ids=["21-letters", "LKDEX", "ACWY"])
-def test_candidates_equal_reference_on_random_stores(k, alphabet):
-    rng = random.Random(f"{alphabet}-{k}")
-    entries = random_store(rng, alphabet, 40)
-    queries = [mutated_homolog(rng, e.sequence.residues) for e in rng.sample(entries, 10)]
-    queries += [random_residues(rng, alphabet, 1, 80) for _ in range(5)]
-    queries += ["L" * 12, "X" * (k + 1), "A" * (k - 1)]
-    nonempty = assert_candidates_match_reference(entries, queries, k)
-    assert nonempty >= 15
-    assert assert_candidates_match_reference(entries[::-1], queries, k) == nonempty
+def test_candidates_equal_reference_on_random_stores(alphabet):
+    rng = random.Random(alphabet)
+    for _ in range(3):
+        entries = random_store(rng, alphabet, 40)
+        queries = [mutated_homolog(rng, e.sequence.residues) for e in rng.sample(entries, 10)]
+        queries += [random_residues(rng, alphabet, 1, 80) for _ in range(5)]
+        queries += ["L" * 12, "X" * 6, "A" * 4]
+        nonempty = assert_candidates_match_reference(entries, queries)
+        assert nonempty >= 8
+        assert assert_candidates_match_reference(entries[::-1], queries) == nonempty
 
 
 def test_candidates_equal_reference_at_code_edges():
     # AAAAA is code 0 and YYYYY the top code 21**5 - 1; AAAAC and YYYYX are
-    # their neighbours; CCCCC and MKMKM occur nowhere in the store.
+    # their neighbours; CCCCC and MKMKM occur nowhere in the store. A query
+    # of six equal residues holds its 5-mer twice, on adjacent diagonals:
+    # the two hits a candidate needs.
     entries = [
         entry("E0", "AAAAA"),
         entry("E1", "MAAAAAAAW"),
@@ -465,23 +458,25 @@ def test_candidates_equal_reference_at_code_edges():
         entry("E4", "WYYYYYYY"),
         entry("E5", "YYYYY"),
     ]
-    queries = ["AAAAA", "AAAAAAA", "AAAAC", "YYYYY", "YYYYYYY", "YYYYX", "CCCCC", "MKMKM", "AAAAAYYYYY"]
-    assert assert_candidates_match_reference(entries, queries, 5) > 0
-    assert assert_candidates_match_reference(entries[::-1], queries, 5) > 0
+    queries = ["AAAAA", "AAAAAA", "AAAAAAA", "AAAAAC", "YYYYYY", "YYYYYYY", "YYYYYX", "CCCCCC", "MKMKMK",
+               "AAAAAYYYYY", "AAAAAAYYYYYY"]
+    assert assert_candidates_match_reference(entries, queries) > 0
+    assert assert_candidates_match_reference(entries[::-1], queries) > 0
     index = build_index(entries)
-    assert _candidate_ordinals(index, seq("AAAAA"), 1) == [0, 1]
-    assert _candidate_ordinals(index, seq("YYYYY"), 1) == [4, 5]
-    assert _candidate_ordinals(index, seq("CCCCC"), 1) == []
+    assert _candidate_ordinals(index, seq("AAAAAA")) == [0, 1]
+    assert _candidate_ordinals(index, seq("YYYYYY")) == [4, 5]
+    assert _candidate_ordinals(index, seq("CCCCCC")) == []
     # The top code's one site is the last key; past WWWWW there is no key.
     index = build_index([entry("E0", "AAAAA"), entry("E1", "MYYYYY")])
-    assert _candidate_ordinals(index, seq("YYYYY"), 1) == [1]
+    assert _candidate_ordinals(index, seq("YYYYYY")) == [1]
     index = build_index([entry("E0", "AAAAA"), entry("E1", "WWWWW")])
-    assert [_candidate_ordinals(index, seq(q), 1) for q in ("YYYYY", "WWWWW")] == [[], [1]]
+    assert [_candidate_ordinals(index, seq(q)) for q in ("YYYYYY", "WWWWWW")] == [[], [1]]
 
 
 def test_candidates_equal_reference_at_band_edges():
     # Each query shares u and v with each entry on diagonals 13 to 21 apart,
-    # from odd and even offsets; threshold 2 keeps the pairs at most 16 apart.
+    # from odd and even offsets; the threshold of 2 keeps the pairs at most
+    # 16 apart.
     u, v, fill = "MKWCH", "PQRDE", "G" * 40
     entries = [
         entry(f"S{lead}-{gap}", "A" * lead + u + fill[:gap] + v)
@@ -489,7 +484,7 @@ def test_candidates_equal_reference_at_band_edges():
         for gap in (0, 1, 2, 3)
     ]
     queries = [u + fill[:g] + v for g in (16, 17, 18, 19, 20, 21)]
-    assert assert_candidates_match_reference(entries, queries, 5, thresholds=(2,)) > 0
+    assert assert_candidates_match_reference(entries, queries) > 0
 
 
 # --- persistence ------------------------------------------------------------
@@ -529,6 +524,67 @@ def test_built_store_round_trip(tmp_path, store_entries):
 def test_load_built_store_rejects_other_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"foo": 1}))
+    with pytest.raises(SchemaError):
+        load_built_store(str(path))
+
+
+GOOD_RECORD = {"accessions": ["P12345"], "protein_name": "thing", "go": ["GO:1"]}
+MISTYPED_RECORDS = [
+    pytest.param(5, id="number"),
+    pytest.param(["P12345"], id="list"),
+    pytest.param({**GOOD_RECORD, "protein_name": 5}, id="protein_name-number"),
+    pytest.param({**GOOD_RECORD, "accessions": "P12345"}, id="accessions-string"),
+    pytest.param({**GOOD_RECORD, "go": None}, id="go-null"),
+    pytest.param({**GOOD_RECORD, "function": ["ok", 7]}, id="function-number-item"),
+]
+
+
+@pytest.mark.parametrize("record", MISTYPED_RECORDS)
+def test_mistyped_annotation_records_are_schema_errors(tmp_path, record):
+    with pytest.raises(SchemaError):
+        AnnotationRecord.from_json(record)
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n\n" + json.dumps(record) + "\n")
+    with pytest.raises(SchemaError, match="annotation line 3"):
+        load_annotations(str(path))
+    store = {"entries": [{"accession": "A1", "sequence": "MLKEFKEF", "annotation": GOOD_RECORD},
+                         {"accession": "A2", "sequence": "MLKEFKEF", "annotation": record}]}
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(store))
+    with pytest.raises(SchemaError, match="store entry 2"):
+        load_built_store(str(path))
+
+
+def test_load_annotations_rejects_non_string_accession(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({**GOOD_RECORD, "accession": ["P12345"]}) + "\n")
+    with pytest.raises(SchemaError, match="annotation line 1"):
+        load_annotations(str(path))
+
+
+def store_entry(**fields) -> dict:
+    return {"accession": "A1", "sequence": "MLKEFKEF", "annotation": GOOD_RECORD, **fields}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="invalid-json"),
+        pytest.param("[1]", id="list"),
+        pytest.param("5", id="number"),
+        pytest.param({"entries": {"accession": "A1"}}, id="entries-object"),
+        pytest.param({"entries": [5]}, id="entry-number"),
+        pytest.param({"entries": [{"sequence": "MLKEFKEF", "annotation": GOOD_RECORD}]}, id="no-accession"),
+        pytest.param({"entries": [store_entry(accession=5)]}, id="accession-number"),
+        pytest.param({"entries": [store_entry(sequence=5)]}, id="sequence-number"),
+        pytest.param({"entries": [store_entry(sequence={"s": "ML"})]}, id="sequence-object"),
+        pytest.param({"entries": [store_entry(sequence="ML1")]}, id="sequence-bad-residue"),
+        pytest.param({"entries": [{"accession": "A1", "sequence": "MLKEFKEF"}]}, id="no-annotation"),
+    ],
+)
+def test_load_built_store_raises_only_schema_errors(tmp_path, text):
+    path = tmp_path / "store.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
     with pytest.raises(SchemaError):
         load_built_store(str(path))
 
@@ -613,7 +669,7 @@ def test_search_equals_reference_on_random_stores():
     for i, q in enumerate(queries):
         query = seq(q, f"q{i}")
         hits = assert_search_matches_reference(index, query)
-        ordinals = _candidate_ordinals(index, query, DEFAULT_KMER_HIT_THRESHOLD)
+        ordinals = _candidate_ordinals(index, query)
         top = max((aln.score for o in ordinals if (aln := smith_waterman(query, entries[o].sequence))), default=0)
         empty += not ordinals
         for hit in filter(None, hits):
