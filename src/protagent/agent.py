@@ -102,12 +102,20 @@ def _message_from_json(obj: dict) -> ChatMessage:
 
 
 def trace_from_json(obj: dict) -> ConversationTrace:
+    """Rebuild a trace from its to_json form; TypeError for a mistyped
+    session_id, created_at, paradigm or audit (a list of objects)."""
+    for key in ("session_id", "created_at", "paradigm"):
+        if not isinstance(obj[key], str):
+            raise TypeError(f"{key} must be a string, got {obj[key]!r}")
+    audit = obj.get("audit", [])
+    if not isinstance(audit, list) or not all(isinstance(entry, dict) for entry in audit):
+        raise TypeError("audit must be a list of objects")
     return ConversationTrace(
         session_id=obj["session_id"],
         created_at=obj["created_at"],
         paradigm=obj["paradigm"],
         messages=tuple(_message_from_json(m) for m in obj["messages"]),
-        audit=tuple(obj.get("audit", [])),
+        audit=tuple(audit),
     )
 
 

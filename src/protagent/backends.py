@@ -76,8 +76,9 @@ class ScriptedBackend:
 
         Each line: {"content": str | null, "tool_calls": [{"name", "arguments"}]}.
         Malformed JSON, a line that is not an object, content that is neither
-        a string nor null, null content without tool calls, or a tool call
-        without a name raises SchemaError naming the 1-based line.
+        a string nor null, tool calls that are neither a list nor null, null
+        content without tool calls, or a tool call without a name raises
+        SchemaError naming the 1-based line.
         """
         turns = []
         with open(path, encoding="utf-8") as fh:
@@ -93,7 +94,11 @@ class ScriptedBackend:
                     raise SchemaError(f"script line {turn_idx + 1} is not a JSON object")
                 if not isinstance(obj.get("content"), (str, type(None))):
                     raise SchemaError(f"script line {turn_idx + 1}: content must be a string or null")
-                tool_calls = obj.get("tool_calls") or []
+                tool_calls = obj.get("tool_calls")
+                if tool_calls is None:
+                    tool_calls = []
+                elif not isinstance(tool_calls, list):
+                    raise SchemaError(f"script line {turn_idx + 1}: tool_calls must be a list or null")
                 if obj.get("content") is None and not tool_calls:
                     raise SchemaError(f"script line {turn_idx + 1}: null content needs tool calls")
                 if not all(isinstance(tc, dict) and "name" in tc for tc in tool_calls):

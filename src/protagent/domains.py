@@ -4,6 +4,12 @@ Reads a plain-text profile library (HMMER3-style ASCII subset), scores
 sequences by local Viterbi in log-odds space, and reports ranked domain
 hits plus a filtered non-overlapping selection.
 
+Scores are fixed-point: each emission and transition log-odds score is
+rounded once to a whole 1/SCALE bit (SCALE = 1000), paths add them exactly,
+and a hit's bits are that integer over SCALE. Ties between paths break on
+the highest score, then the smallest (ali_from, hmm_from), then the first
+end cell in (residue, node) order.
+
 Library format, per record:
 
     HMMER3/f  <comment>
@@ -28,6 +34,7 @@ probability zero. Unrecognized header keys are ignored.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -48,6 +55,8 @@ DEFAULT_REPORT_THRESHOLD = 1.0
 DEFAULT_SELECTION_THRESHOLD = 0.01
 
 _UNIFORM_BACKGROUND = tuple([1.0 / 20] * 20)
+
+SCALE = 1000  # profile scores are whole numbers of 1/SCALE bits
 
 
 @dataclass(frozen=True)
@@ -79,35 +88,127 @@ class ProfileHmm:
             raise TruncatedProfileError(
                 f"profile {self.name!r}: {len(self.transitions)} transition rows for length {self.model_length}"
             )
-        # Viterbi relies on every score being finite or -inf: no NaN, no +inf.
+        # Viterbi relies on every transition score being <= 0 or -inf: no NaN,
+        # and no stored value below 0, which is a probability above 1.
         for k, row in enumerate(self.transitions, start=1):
-            if not all(v > -math.inf for v in row):
-                raise MalformedProfileError(f"profile {self.name!r}: transition at node {k} is NaN or -inf")
+            if not all(v >= 0.0 for v in row):
+                raise MalformedProfileError(
+                    f"profile {self.name!r}: transition at node {k} is NaN or below 0 (a probability above 1)"
+                )
         if len(self.background) != 20 or not all(0.0 < f < math.inf for f in self.background):
             raise MalformedProfileError(f"profile {self.name!r}: background needs 20 positive finite frequencies")
 
-    @cached_property
     def score_tables(self):
-        """Log-odds scores in bits, built on the first scan and kept.
+        """Log-odds scores in whole 1/SCALE bits, -inf where the probability is 0.
 
-        Returns (match, insert, steps). match and insert map each residue
-        letter (X scores 0) to its per-node scores; steps[k - 1] holds the
-        transition scores node k's Viterbi cells read: MM, IM, DM, MD, DD out
-        of node k - 1 (-inf for the first node), then MI, II out of node k.
+        Returns (match, insert, trans). match and insert map each residue
+        letter (X scores 0) to its per-node scores; trans[k - 1] holds the
+        seven transition scores out of node k, in TRANSITION_ORDER.
         """
         log_bg = [math.log(f) for f in self.background]
 
         def row_scores(rows, idx):
-            return [-math.inf if math.isinf(row[idx]) else (-row[idx] - log_bg[idx]) / _LN2 for row in rows]
+            return [
+                -math.inf if math.isinf(row[idx]) else round((-row[idx] - log_bg[idx]) / _LN2 * SCALE) for row in rows
+            ]
 
         match = {res: row_scores(self.match_emissions, idx) for idx, res in enumerate(RESIDUE_ORDER)}
         insert = {res: row_scores(self.insert_emissions, idx) for idx, res in enumerate(RESIDUE_ORDER)}
-        match["X"] = insert["X"] = [0.0] * self.model_length
-        trans = [tuple(-math.inf if math.isinf(v) else -v / _LN2 for v in row) for row in self.transitions]
+        match["X"] = insert["X"] = [0] * self.model_length
+        trans = [[-math.inf if math.isinf(v) else round(-v / _LN2 * SCALE) for v in row] for row in self.transitions]
+        return match, insert, trans
+
+    @cached_property
+    def _packed(self) -> dict[int, _PackedProfile]:
+        """Packed kernel constants by length class, each built on its first scan."""
+        return {}
+
+    def packed(self, length: int) -> _PackedProfile:
+        """Kernel constants for sequences of up to the next power of two residues."""
+        length_class = 1 << max(length - 1, 1).bit_length()
+        packed = self._packed.get(length_class)
+        if packed is None:
+            packed = self._packed[length_class] = _PackedProfile(self, length_class)
+        return packed
+
+
+class _PackedProfile:
+    """One profile's score tables packed into plain ints, one field per node.
+
+    Field k - 1 holds node k. A live cell of score s (in 1/SCALE bits) and
+    origin o (ali_from * width + hmm_from) is (s + bias) << origin_bits |
+    (max_origin - o), so one fieldwise max is the kernel's whole rule:
+    higher score, then smaller origin. Each field has a guard bit on top.
+
+    Bounds, for sequences of at most `length` residues and A (here a) above
+    the largest absolute finite score of the profile: a path scores at most
+    length * A, since each residue adds one emission and transitions are
+    <= 0. A cell matters only if some continuation lifts it to a candidate
+    >= 0 for M, which beats or ties the fresh entry at 0; that takes a cell
+    >= -length * A, as no continuation gains more. So the floor, score
+    A - bias < -length * A, sits below every cell that matters, and so do
+    all cells grown from it: in any max, a cell that matters wins over them,
+    and clipping a cell up to the floor changes no result. Every max takes
+    the floor or a fresh entry as one side, so a cell is at least the floor
+    (or 0 where an emission is -inf), an emission >= -A never takes it below
+    0, and a probability-zero transition costs `dead`, more than any cell
+    holds. (A bias of a few A would not do: an insert chain at a node whose
+    match state cannot emit may sink far below 0 and climb back.)
+    """
+
+    def __init__(self, hmm: ProfileHmm, length: int):
+        match, insert, trans = hmm.score_tables()
+        nodes = hmm.model_length
+        finite = [abs(v) for table in (match, insert) for row in table.values() for v in row if v > -math.inf]
+        finite += [-v for row in trans for v in row if v > -math.inf]
+        a = max(finite, default=0) + 1
+        self.bias = bias = (length + 1) * a + 1
+        self.width = width = nodes + 1
+        self.origin_bits = ((length + 1) * width).bit_length()
+        unit = 1 << self.origin_bits
+        self.max_origin = max_origin = unit - 1
+        dead = bias + length * a + 1
+        # The largest field sum: a cell (<= bias + length * a) plus a cost (<= dead).
+        self.field = field = (bias + length * a + dead).bit_length() + self.origin_bits + 1
+        self.nodes = nodes
+        self.fields = (1 << (nodes * field)) - 1
+        ones = self.fields // ((1 << field) - 1)
+        self.guards = ones << (field - 1)
+        self.step = width * ones
+
+        def pack(values):
+            return sum(v << (f * field) for f, v in enumerate(values))
+
+        # Transition costs, in score units: node k's at field k - 1.
         MM, MI, MD, IM, II, DM, DD = range(7)
-        before = [(-math.inf,) * 7] + trans[:-1]
-        steps = [(p[MM], p[IM], p[DM], p[MD], p[DD], t[MI], t[II]) for p, t in zip(before, trans)]
-        return match, insert, steps
+        cost = [[dead if v == -math.inf else -v for v in row] for row in trans]
+        self.mm, self.im, self.dm, self.ii = (pack(c[col] * unit for c in cost) for col in (MM, IM, DM, II))
+        self.floor = floor = a * unit * ones
+        self.floor_mi = floor + pack(c[MI] * unit for c in cost)
+        self.floor_md = floor + pack(c[MD] * unit for c in cost)
+        # Fresh entries at row 0: node k at field k - 1, and node k + 1 at field
+        # k - 1, where a candidate from node k waits for its shift.
+        self.fresh_first = bias * unit + max_origin - 1
+        self.fresh_next_mm = pack(bias * unit + max_origin - (f + 2) for f in range(nodes)) + self.mm
+        # D_k from D_(k-s): the DD costs out of nodes k-s .. k-1, by doubling s.
+        dd = [c[DD] for c in cost]
+        self.dd_spans = []
+        s = 1
+        while s < nodes:
+            span = [0] * s + [min(sum(dd[f - s : f]), dead) * unit for f in range(s, nodes)]
+            self.dd_spans.append((s * field, pack(span)))
+            s <<= 1
+
+        def emissions(table):
+            rows = {}
+            for res, scores in table.items():
+                live = [v > -math.inf for v in scores]
+                mask = None if all(live) else pack(((1 << field) - 1) * ok for ok in live)
+                rows[res] = (pack(v * unit if ok else 0 for v, ok in zip(scores, live)), mask)
+            return rows
+
+        self.match = emissions(match)
+        self.insert = emissions(insert)
 
 
 @dataclass(frozen=True)
@@ -266,80 +367,85 @@ def viterbi_score(hmm: ProfileHmm, seq: Sequence):
 
     A path enters at any match state and exits from any match state (free
     entry/exit), may pass through insert and delete states in between, and
-    must score above zero to count. Returns (bits, hmm_from, hmm_to,
-    ali_from, ali_to) or None for no hit. Ties break on the highest bits,
-    then the smallest (ali_from, hmm_from), then the first end cell in
-    row-major (residue, node) order.
-    """
-    match_rows, insert_rows, steps = hmm.score_tables
-    width = hmm.model_length + 1
-    neg = -math.inf
-    # The previous row's cells at nodes 1..L: scores, and origins encoded as
-    # ali_from * width + hmm_from, so comparing ints compares (ali_from, hmm_from).
-    # Dead cells score -inf; the fresh entry at 0.0 is always live, so a dead
-    # predecessor can never win a comparison.
-    dead = [neg] * hmm.model_length
-    pm = pi = pd = dead
-    pmo = pio = pdo = [0] * hmm.model_length
-    best, best_from, best_end = 0.0, 0, 0
-    for j, c in enumerate(seq.residues, 1):
-        vm, vmo, vi, vio, vd, vdo = [], [], [], [], [], []
-        # Node k-1 of the previous row (M: a, I: b, D: d) and of this row (M: m, D: e).
-        a = b = d = m = e = neg
-        ao = bo = do = mo = eo = 0
-        cell = j * width
-        for sm, si, (tmm, tim, tdm, tmd, tdd, tmi, tii), x, xo, y, yo, z, zo in zip(
-            match_rows[c], insert_rows[c], steps, pm, pmo, pi, pio, pd, pdo
-        ):
-            cell += 1
-            # M_k: a fresh entry, or M/I/D at node k-1 of the previous row.
-            s, o = 0.0, cell
-            v = a + tmm
-            if v >= s and (v > s or ao < o):
-                s, o = v, ao
-            v = b + tim
-            if v >= s and (v > s or bo < o):
-                s, o = v, bo
-            v = d + tdm
-            if v >= s and (v > s or do < o):
-                s, o = v, do
-            s += sm
-            vm.append(s)
-            vmo.append(o)
-            if s >= best and (s > best or o < best_from):
-                best, best_from, best_end = s, o, cell
-            # I_k: M or I at node k of the previous row.
-            v, vo = x + tmi, xo
-            w = y + tii
-            if w >= v and (w > v or yo < vo):
-                v, vo = w, yo
-            vi.append(v + si)
-            vio.append(vo)
-            # D_k: M or D at node k-1 of this row (silent).
-            v, vo = m + tmd, mo
-            w = e + tdd
-            if w >= v and (w > v or eo < vo):
-                v, vo = w, eo
-            vd.append(v)
-            vdo.append(vo)
-            # Shift node k into the k-1 slots; single stores beat tuple swaps here.
-            a = x
-            ao = xo
-            b = y
-            bo = yo
-            d = z
-            do = zo
-            m = s
-            mo = o
-            e = v
-            eo = vo
-        pm, pmo, pi, pio, pd, pdo = vm, vmo, vi, vio, vd, vdo
+    must score above zero to count. Scores are sums of whole 1/SCALE bits.
+    Returns (bits, hmm_from, hmm_to, ali_from, ali_to) or None for no hit.
+    Ties break on the highest bits, then the smallest (ali_from, hmm_from),
+    then the first end cell in row-major (residue, node) order.
 
-    if not best_end:
+    One pass per residue over three plain ints, M, I and D, whose fields are
+    the nodes (SWAR; see _PackedProfile). Every fieldwise max(u + c, v) - c
+    below is u + ((v - u - c) where v >= u + c, else 0): with the guards set,
+    v - (u + c) leaves a field's guard set exactly where v >= u + c, and
+    g - (g >> top) turns those guards into masks of their fields' value bits.
+    The result is never below u, so no field goes below 0.
+    """
+    p = hmm.packed(seq.length)
+    field, guards, fields, step, top = p.field, p.guards, p.fields, p.step, p.field - 1
+    mm, im, dm, ii, floor, floor_mi, floor_md = p.mm, p.im, p.dm, p.ii, p.floor, p.floor_mi, p.floor_md
+    match, insert, dd_spans, width = p.match, p.insert, p.dd_spans, p.width
+    fresh_first, fresh_next_mm = p.fresh_first, p.fresh_next_mm
+    m = i = d = best = 0
+    bests = []
+    for c in seq.residues:
+        fresh_first -= width
+        fresh_next_mm -= step
+        # M_k: a fresh entry, or M/I/D at node k-1 of the previous row. The
+        # candidates are taken at node k-1's field, then shifted up one field.
+        t = (m | guards) - fresh_next_mm
+        g = t & guards
+        x = fresh_next_mm - mm + (t & (g - (g >> top)))
+        t = (i | guards) - (x + im)
+        g = t & guards
+        x += t & (g - (g >> top))
+        t = (d | guards) - (x + dm)
+        g = t & guards
+        x += t & (g - (g >> top))
+        # I_k: M or I at node k of the previous row, never below the floor.
+        t = (m | guards) - floor_mi
+        g = t & guards
+        y = floor + (t & (g - (g >> top)))
+        t = (i | guards) - (y + ii)
+        g = t & guards
+        y += t & (g - (g >> top))
+        emit, live = insert[c]
+        i = y + emit if live is None else (y + emit) & live
+        emit, live = match[c]
+        m = ((x << field) & fields | fresh_first) + emit
+        if live is not None:
+            m &= live
+        # D_k: M at node k-1 of this row, then D at node k-s by doubling s,
+        # stopped at the first shift that changes nothing: DD costs are >= 0,
+        # so after that no longer shift can.
+        t = (m | guards) - floor_md
+        g = t & guards
+        d = ((floor + (t & (g - (g >> top)))) << field) & fields
+        for shift, cost in dd_spans:
+            t = ((d << shift) | guards) - (d + cost)
+            g = t & guards
+            t &= g - (g >> top)
+            if not t:
+                break
+            d += t
+        t = (m | guards) - best
+        g = t & guards
+        best += t & (g - (g >> top))
+        bests.append(best)
+
+    mask = (1 << field) - 1
+    ends = [(best >> (f * field)) & mask for f in range(p.nodes)]
+    top_value = max(ends)
+    score = (top_value >> p.origin_bits) - p.bias
+    if score <= 0:
         return None
-    ali_from, hmm_from = divmod(best_from, width)
-    ali_to, hmm_to = divmod(best_end, width)
-    return (best, hmm_from, hmm_to, ali_from, ali_to)
+    # The first end cell: each field's best only grows row by row, so its
+    # first row at the top value is found by bisection.
+    ali_to, hmm_to = min(
+        (bisect_left(bests, top_value, key=lambda b, f=f: (b >> (f * field)) & mask) + 1, f + 1)
+        for f, v in enumerate(ends)
+        if v == top_value
+    )
+    ali_from, hmm_from = divmod(p.max_origin - (top_value & p.max_origin), width)
+    return (score / SCALE, hmm_from, hmm_to, ali_from, ali_to)
 
 
 def select_domains(hits: list[DomainHit]) -> list[DomainHit]:

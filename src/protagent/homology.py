@@ -482,8 +482,10 @@ def make_evidence(hit: BestHit, annotations: dict[str, AnnotationRecord]) -> dic
 
 
 def load_annotations(path: str) -> dict[str, AnnotationRecord]:
-    """Load a JSON-lines annotation store keyed by primary accession."""
+    """Load a JSON-lines annotation store keyed by primary accession; a
+    repeated accession is a SchemaError naming both lines."""
     out: dict[str, AnnotationRecord] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -500,6 +502,11 @@ def load_annotations(path: str) -> dict[str, AnnotationRecord]:
             accession = obj.get("accession", record.accessions[0])
             if not isinstance(accession, str):
                 raise SchemaError(f"annotation line {line_no}: accession must be a string, got {accession!r}")
+            if accession in first_line:
+                raise SchemaError(
+                    f"annotation line {line_no}: duplicate accession {accession!r} (first on line {first_line[accession]})"
+                )
+            first_line[accession] = line_no
             out[accession] = record
     return out
 
@@ -524,9 +531,10 @@ def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
 def load_built_store(path: str) -> list[ReferenceEntry]:
     """Load a store written by save_built_store.
 
-    Invalid JSON, a file without an 'entries' list, and an entry that is not
-    an object with string accession and sequence and a valid annotation
-    raise SchemaError; an entry's error names its 1-based position.
+    Invalid JSON, a file without an 'entries' list, an entry that is not an
+    object with string accession and sequence and a valid annotation, and a
+    repeated accession raise SchemaError; an entry's error names its 1-based
+    position.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -536,10 +544,14 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise SchemaError(f"{path} is not a built reference store (no 'entries' list)")
     entries = []
+    first_entry: dict[str, int] = {}
     for n, e in enumerate(obj["entries"], start=1):
         try:
             if not (isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("accession", "sequence"))):
                 raise SchemaError("not an object with a string accession and sequence")
+            if e["accession"] in first_entry:
+                raise SchemaError(f"duplicate accession {e['accession']!r} (first at entry {first_entry[e['accession']]})")
+            first_entry[e["accession"]] = n
             entries.append(
                 ReferenceEntry(
                     accession=e["accession"],
@@ -553,13 +565,21 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
 
 
 def load_reference_store(fasta_path: str, annotations_path: str) -> list[ReferenceEntry]:
-    """Pair a FASTA file with its JSON-lines annotations by accession."""
+    """Pair a FASTA file with its JSON-lines annotations by accession; a
+    repeated FASTA id is a SchemaError naming both header lines."""
     with open(fasta_path, encoding="utf-8") as fh:
-        records = parse_fasta(fh.read())
+        text = fh.read()
+    records = parse_fasta(text)
+    # parse_fasta makes one record per header line, in order.
+    header_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith(">")]
     annotations = load_annotations(annotations_path)
     entries = []
-    for rec in records:
+    first_line: dict[str, int] = {}
+    for rec, line_no in zip(records, header_lines):
         acc = rec.sequence.id
+        if acc in first_line:
+            raise SchemaError(f"FASTA line {line_no}: duplicate id {acc!r} (first on line {first_line[acc]})")
+        first_line[acc] = line_no
         if acc not in annotations:
             raise MissingAnnotationError(f"FASTA entry {acc!r} has no annotation record")
         entries.append(ReferenceEntry(accession=acc, sequence=rec.sequence, annotation=annotations[acc]))

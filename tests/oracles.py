@@ -9,7 +9,7 @@ import math
 from functools import lru_cache
 
 from protagent.blosum62 import BLOSUM62
-from protagent.domains import RESIDUE_ORDER, ProfileHmm
+from protagent.domains import RESIDUE_ORDER, SCALE, ProfileHmm
 from protagent.errors import EmptyIndexError
 from protagent.homology import (
     DEFAULT_MIN_SEQ_ID,
@@ -315,33 +315,44 @@ def reference_search_best_hit(
 # --- profile-HMM local Viterbi ---------------------------------------------
 
 
-def _profile_scores(hmm: ProfileHmm):
+def _profile_scores(hmm: ProfileHmm, scale=SCALE):
+    """Per-node log-odds scores: whole 1/SCALE bits, or float bits when scale is None.
+
+    Probability zero scores -inf either way.
+    """
+
+    def score(bits):
+        return bits if scale is None else round(bits * scale)
+
     bg = hmm.background
     match_s, insert_s = [], []
     for k in range(hmm.model_length):
         match_s.append(
             {
-                res: (-hmm.match_emissions[k][i] - math.log(bg[i])) / _LN2
+                res: -math.inf if math.isinf(hmm.match_emissions[k][i])
+                else score((-hmm.match_emissions[k][i] - math.log(bg[i])) / _LN2)
                 for i, res in enumerate(RESIDUE_ORDER)
             }
         )
         insert_s.append(
             {
-                res: (-hmm.insert_emissions[k][i] - math.log(bg[i])) / _LN2
+                res: -math.inf if math.isinf(hmm.insert_emissions[k][i])
+                else score((-hmm.insert_emissions[k][i] - math.log(bg[i])) / _LN2)
                 for i, res in enumerate(RESIDUE_ORDER)
             }
         )
-        match_s[-1]["X"] = insert_s[-1]["X"] = 0.0
-    trans_s = [tuple(-v / _LN2 for v in row) for row in hmm.transitions]
+        match_s[-1]["X"] = insert_s[-1]["X"] = score(0.0)
+    trans_s = [tuple(-math.inf if math.isinf(v) else score(-v / _LN2) for v in row) for row in hmm.transitions]
     return match_s, insert_s, trans_s
 
 
 def brute_viterbi_bits(hmm: ProfileHmm, residues: str):
     """Best local path through the profile by exhaustive enumeration.
 
-    Free entry at any match state, free exit from any match state;
-    returns the best score in bits, or None if no path scores above 0.
-    Only practical for tiny models and sequences.
+    Free entry at any match state, free exit from any match state; paths
+    are scored in whole 1/SCALE bits. Returns the best score in bits, or
+    None if no path scores above 0. Only practical for tiny models and
+    sequences.
     """
     match_s, insert_s, trans_s = _profile_scores(hmm)
     L, n = hmm.model_length, len(residues)
@@ -349,7 +360,7 @@ def brute_viterbi_bits(hmm: ProfileHmm, residues: str):
     best = [None]
 
     def note(score):
-        if score > 0.0 and (best[0] is None or score > best[0]):
+        if score > 0 and (best[0] is None or score > best[0]):
             best[0] = score
 
     def walk(state, k, j, score):
@@ -378,17 +389,18 @@ def brute_viterbi_bits(hmm: ProfileHmm, residues: str):
     for k0 in range(1, L + 1):
         for j0 in range(1, n + 1):
             walk("M", k0, j0, match_s[k0 - 1][residues[j0 - 1]])
-    return best[0]
+    return None if best[0] is None else best[0] / SCALE
 
 
 def reference_viterbi(hmm: ProfileHmm, residues: str):
     """Local Viterbi over explicit (score, ali_from, hmm_from) tuple cells.
 
     The straightforward formulation the production kernel must match
-    exactly: same bits, same coordinates, same tie-breaks (max bits, then
-    min (ali_from, hmm_from), then the first end cell in row-major order).
-    Dead cells are guarded explicitly rather than relying on -inf
-    arithmetic. Returns (bits, hmm_from, hmm_to, ali_from, ali_to) or None.
+    exactly, over the same whole 1/SCALE-bit scores: same bits, same
+    coordinates, same tie-breaks (max score, then min (ali_from, hmm_from),
+    then the first end cell in row-major order). Dead cells are guarded
+    explicitly rather than relying on -inf arithmetic. Returns (bits,
+    hmm_from, hmm_to, ali_from, ali_to) or None.
     """
     match_s, insert_s, trans_s = _profile_scores(hmm)
     L, n = hmm.model_length, len(residues)
@@ -416,7 +428,7 @@ def reference_viterbi(hmm: ProfileHmm, residues: str):
         vd = [dead] * (L + 1)
         for k in range(1, L + 1):
             em = match_s[k - 1][c]
-            cand = (0.0, j, k)  # fresh entry at M_k
+            cand = (0, j, k)  # fresh entry at M_k
             if k > 1:
                 t = trans_s[k - 2]
                 prev = vm_prev[k - 1]
@@ -462,10 +474,72 @@ def reference_viterbi(hmm: ProfileHmm, residues: str):
                 vd[k] = dc
         vm_prev, vi_prev, vd_prev = vm, vi, vd
 
-    if best_end is None or best[0] <= 0.0:
+    if best_end is None or best[0] <= 0:
         return None
     hmm_to, ali_to = best_end
-    return (best[0], best[2], hmm_to, best[1], ali_to)
+    return (best[0] / SCALE, best[2], hmm_to, best[1], ali_to)
+
+
+def reference_float_viterbi(hmm: ProfileHmm, residues: str):
+    """The local Viterbi kernel over float bits that the fixed-point one
+    replaced: the same recurrences and tie rules, with unrounded scores.
+    Returns (bits, hmm_from, hmm_to, ali_from, ali_to) or None.
+    """
+    match_s, insert_s, trans_s = _profile_scores(hmm, scale=None)
+    match_rows = {res: [row[res] for row in match_s] for res in match_s[0]}
+    insert_rows = {res: [row[res] for row in insert_s] for res in insert_s[0]}
+    MM, MI, MD, IM, II, DM, DD = range(7)
+    before = [(-math.inf,) * 7] + trans_s[:-1]
+    steps = [(p[MM], p[IM], p[DM], p[MD], p[DD], t[MI], t[II]) for p, t in zip(before, trans_s)]
+    width = hmm.model_length + 1
+    neg = -math.inf
+    dead = [neg] * hmm.model_length
+    pm = pi = pd = dead
+    pmo = pio = pdo = [0] * hmm.model_length
+    best, best_from, best_end = 0.0, 0, 0
+    for j, c in enumerate(residues, 1):
+        vm, vmo, vi, vio, vd, vdo = [], [], [], [], [], []
+        a = b = d = m = e = neg
+        ao = bo = do = mo = eo = 0
+        cell = j * width
+        for sm, si, (tmm, tim, tdm, tmd, tdd, tmi, tii), x, xo, y, yo, z, zo in zip(
+            match_rows[c], insert_rows[c], steps, pm, pmo, pi, pio, pd, pdo
+        ):
+            cell += 1
+            s, o = 0.0, cell
+            v = a + tmm
+            if v >= s and (v > s or ao < o):
+                s, o = v, ao
+            v = b + tim
+            if v >= s and (v > s or bo < o):
+                s, o = v, bo
+            v = d + tdm
+            if v >= s and (v > s or do < o):
+                s, o = v, do
+            s += sm
+            vm.append(s)
+            vmo.append(o)
+            if s >= best and (s > best or o < best_from):
+                best, best_from, best_end = s, o, cell
+            v, vo = x + tmi, xo
+            w = y + tii
+            if w >= v and (w > v or yo < vo):
+                v, vo = w, yo
+            vi.append(v + si)
+            vio.append(vo)
+            v, vo = m + tmd, mo
+            w = e + tdd
+            if w >= v and (w > v or eo < vo):
+                v, vo = w, eo
+            vd.append(v)
+            vdo.append(vo)
+            a, ao, b, bo, d, do, m, mo, e, eo = x, xo, y, yo, z, zo, s, o, v, vo
+        pm, pmo, pi, pio, pd, pdo = vm, vmo, vi, vio, vd, vdo
+    if not best_end:
+        return None
+    ali_from, hmm_from = divmod(best_from, width)
+    ali_to, hmm_to = divmod(best_end, width)
+    return (best, hmm_from, hmm_to, ali_from, ali_to)
 
 
 def random_profile(rng, name: str, model_length: int) -> ProfileHmm:

@@ -86,6 +86,11 @@ def trace_with(*messages) -> dict:
         pytest.param(trace_with({"content": "x"}), id="message-without-role"),
         pytest.param(trace_with({"role": "assistant", "content": None}), id="assistant-without-content"),
         pytest.param(trace_with({"role": "assistant", "tool_calls": [{"name": "x"}]}), id="tool-call-without-id"),
+        pytest.param({**trace_with(), "audit": "abc"}, id="audit-string"),
+        pytest.param({**trace_with(), "audit": [1]}, id="audit-entry-number"),
+        pytest.param({**trace_with(), "session_id": 5}, id="session-id-number"),
+        pytest.param({**trace_with(), "created_at": None}, id="created-at-null"),
+        pytest.param({**trace_with(), "paradigm": ["direct"]}, id="paradigm-list"),
     ],
 )
 def test_load_trace_raises_only_schema_errors(tmp_path, text):
@@ -274,6 +279,16 @@ def test_scripted_backend_malformed_line_names_line(tmp_path):
         path.write_text(line + "\n")
         with pytest.raises(SchemaError, match="line 1"):
             ScriptedBackend.from_jsonl(str(path))
+
+
+def test_scripted_backend_rejects_non_list_tool_calls(tmp_path):
+    path = tmp_path / "script.jsonl"
+    for tool_calls in (1, True, "seq_basic_props", {"name": "seq_basic_props"}):
+        path.write_text('{"content": "a"}\n' + json.dumps({"content": "b", "tool_calls": tool_calls}) + "\n")
+        with pytest.raises(SchemaError, match="line 2: tool_calls must be a list or null"):
+            ScriptedBackend.from_jsonl(str(path))
+    path.write_text('{"content": "a", "tool_calls": null}\n')
+    assert ScriptedBackend.from_jsonl(str(path)).turns[0].tool_calls is None
 
 
 def test_scripted_backend_rejects_non_string_content(tmp_path):

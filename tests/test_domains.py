@@ -4,8 +4,9 @@ import random
 import pytest
 
 from conftest import MSCL_RESIDUES, data_path
-from oracles import brute_viterbi_bits, random_profile, reference_viterbi
+from oracles import brute_viterbi_bits, random_profile, reference_float_viterbi, reference_viterbi
 from protagent.domains import (
+    SCALE,
     DomainHit,
     ProfileHmm,
     parse_hmm_library,
@@ -126,7 +127,7 @@ def test_viterbi_matches_brute_force_small():
             assert got is None
         else:
             assert got is not None
-            assert got[0] == pytest.approx(expected, abs=1e-9)
+            assert got[0] == expected
 
 
 def test_viterbi_reports_consistent_coordinates():
@@ -241,7 +242,7 @@ def peaked_profile(rng, name, length):
 def assert_kernel_matches_reference(hmm, res):
     got = viterbi_score(hmm, seq(res))
     expected = reference_viterbi(hmm, res)
-    # exact equality: same float bits and all four coordinates
+    # exact equality: same bits and all four coordinates
     assert got == expected, (hmm.name, res, got, expected)
     return got
 
@@ -296,6 +297,71 @@ def test_viterbi_equals_reference_on_peaked_profiles():
         assert_kernel_matches_reference(hmm, res)
 
 
+def test_viterbi_equals_reference_on_perfbench_shaped_profiles():
+    # The benchmark's profiles: a 0.6 peak over a skewed background (also the
+    # COMPO row), background inserts, one transition row for every node.
+    rng = random.Random(47)
+    letters = sorted(CANONICAL_RESIDUES)
+    background = normalized([rng.random() + 0.2 for _ in letters])
+    trans = [0.90, 0.05, 0.05, 0.60, 0.40, 0.70, 0.30]
+    for trial in range(4):
+        length = rng.randint(30, 80)
+        consensus = rng.choices(letters, background, k=length)
+        match_rows = [
+            [0.6 if r == c else 0.4 * bg / (1.0 - background[letters.index(c)]) for bg, r in zip(background, letters)]
+            for c in consensus
+        ]
+        hmm = ProfileHmm(
+            name=f"B{trial}",
+            accession="PB00000.1",
+            description="benchmark-shaped profile",
+            model_length=length,
+            match_emissions=tuple(neg_ln(r) for r in match_rows),
+            insert_emissions=(neg_ln(background),) * length,
+            transitions=(neg_ln(trans),) * length,
+            background=tuple(background),
+        )
+        n = rng.randint(80, 250)
+        res = "".join(rng.choices(letters, background, k=n))
+        at = rng.randint(0, n - length)
+        sampled = "".join(rng.choices(letters, row)[0] for row in match_rows)
+        assert_kernel_matches_reference(hmm, res[:at] + sampled + res[at + length:])
+        assert_kernel_matches_reference(hmm, res)
+
+
+def test_integer_bits_stay_near_float_bits():
+    # Each of a path's at most n emissions and n + L transitions is rounded
+    # by at most half a unit, so the best path moves by less than that sum.
+    rng = random.Random(53)
+    for trial in range(4):
+        hmm, consensus = peaked_profile(rng, f"F{trial}", rng.randint(30, 80))
+        n = rng.randint(80, 250)
+        res = "".join(rng.choice(CANONICAL_RESIDUES) for _ in range(n))
+        at = rng.randint(0, n - len(consensus))
+        for query in (res, res[:at] + consensus + res[at + len(consensus):]):
+            got = viterbi_score(hmm, seq(query))
+            expected = reference_float_viterbi(hmm, query)
+            assert abs(got[0] - expected[0]) <= 2 * (n + hmm.model_length) * 0.5 / SCALE
+
+
+def test_viterbi_keeps_an_insert_chain_that_sinks_and_climbs():
+    # M_1 emits only A, so after "A" the only live cells at node 1 are its
+    # inserts: ten C's sink them ~66 bits below zero, thirty W's lift them
+    # back by ~127. The winner enters at residue 1 and leaves I_1 for M_2,
+    # so no floor above the sunk cells may cut them off.
+    letters = sorted(CANONICAL_RESIDUES)
+    only_a = [1.0 if r == "A" else 0.0 for r in letters]
+    chain = profile_from_probs(
+        "Chain",
+        [only_a, UNIFORM_ROW],
+        [row_with({"C": 0.0005, "W": 0.95}), UNIFORM_ROW],
+        [[0.25, 0.5, 0.25, 0.001, 0.999, 0.5, 0.5], [0.9, 0.05, 0.05, 0.5, 0.5, 0.5, 0.5]],
+    )
+    res = "A" + "C" * 10 + "W" * 30
+    got = assert_kernel_matches_reference(chain, res)
+    assert got[1:] == (1, 2, 1, 41) and got[0] > 50
+
+
 def row_with(probs):
     """Emission row with the given probabilities by letter, the rest spread evenly."""
     others = [r for r in sorted(CANONICAL_RESIDUES) if r not in probs]
@@ -332,18 +398,42 @@ def test_viterbi_tie_breaks_inside_insert_and_delete_states():
         ],
     )
     assert viterbi_score(delete_tie, seq("AA")) == (3.0, 1, 4, 1, 2)
+    # End-cell tie: on "ACDW", M_1 M_2 M_3 ends at (residue 3, node 3) and
+    # M_1 I_1 I_1 M_2 at (residue 4, node 2), both 9 bits from origin (1, 1);
+    # the first end cell in (residue, node) order wins, not the smaller node.
+    end_tie = profile_from_probs(
+        "EndTie",
+        [row_with({"A": 0.8}), row_with({"C": 0.4, "W": 0.4}), row_with({"D": 0.8})],
+        [row_with({"C": 0.4, "D": 0.4}), UNIFORM_ROW, UNIFORM_ROW],
+        [[0.5, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5]] * 3,
+    )
+    assert viterbi_score(end_tie, seq("ACDW")) == (9.0, 1, 3, 1, 3)
     assert_kernel_matches_reference(insert_tie, "ACCD")
     assert_kernel_matches_reference(delete_tie, "AA")
+    assert_kernel_matches_reference(end_tie, "ACDW")
 
 
 def test_score_tables_are_built_on_first_scan_and_kept():
+    # The kernel's score tables are its packed constants, one set per length
+    # class: sequences of up to the next power of two residues.
     fresh = parse_hmm_library(library_text())
-    assert all("score_tables" not in p.__dict__ for p in fresh)
+    assert all("_packed" not in p.__dict__ for p in fresh)
     scan(fresh, seq(MSCL_RESIDUES))
-    tables = [p.score_tables for p in fresh]
+    tables = [p.packed(len(MSCL_RESIDUES)) for p in fresh]
     scan(fresh, seq(MSCL_RESIDUES))
-    assert all(p.score_tables is t for p, t in zip(fresh, tables))
+    assert all(p.packed(len(MSCL_RESIDUES)) is t for p, t in zip(fresh, tables))
+    assert all(p.packed(65) is t and p.packed(128) is t and p.packed(129) is not t for p, t in zip(fresh, tables))
     assert fresh == parse_hmm_library(library_text())  # the cache is not part of equality
+
+
+def test_score_tables_are_whole_units_of_the_scale():
+    hmm = parse_hmm_library(library_text())[0]
+    match, insert, trans = hmm.score_tables()
+    values = [v for table in (match, insert) for row in table.values() for v in row] + [v for row in trans for v in row]
+    assert all(type(v) is int or v == -math.inf for v in values)
+    assert all(v <= 0 for row in trans for v in row)
+    bits = (-hmm.match_emissions[0][0] - math.log(hmm.background[0])) / math.log(2)
+    assert match["A"][0] == round(bits * SCALE)
 
 
 def test_profile_rejects_scores_viterbi_cannot_use():
@@ -363,6 +453,8 @@ def test_profile_rejects_scores_viterbi_cannot_use():
         {"match_emissions": (nan_row, p.match_emissions[1])},
         {"transitions": (p.transitions[0], (math.nan,) + p.transitions[1][1:])},
         {"transitions": (p.transitions[0], (-math.inf,) + p.transitions[1][1:])},
+        # a probability above 1: the kernel needs every transition score <= 0
+        {"transitions": (p.transitions[0], (-1.0,) + p.transitions[1][1:])},
         {"background": (0.0,) + tuple([1.0 / 19] * 19)},
     ):
         with pytest.raises(MalformedProfileError):
@@ -423,7 +515,10 @@ def test_scan_bundled_library_on_channel_sequence(hmm_library, mscl_seq):
     assert [h.pfam_id for h in result.selected_domains] == ["MscL"]
     top = result.hits[0]
     assert top.score == 473.1
-    assert top.evalue == pytest.approx(2.183e-142)
+    # exact: the payload keeps 4 significant digits (approx's 1e-12 absolute
+    # tolerance would accept any E-value this small)
+    assert top.evalue == 2.277e-142
+    assert [h.evalue for h in result.hits[1:]] == [0.0005018, 0.008272, 0.02088, 0.02088]
     assert top.query == "query"
     assert 0 < top.coverage_query <= 1.0
 

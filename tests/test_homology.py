@@ -580,6 +580,7 @@ def store_entry(**fields) -> dict:
         pytest.param({"entries": [store_entry(sequence={"s": "ML"})]}, id="sequence-object"),
         pytest.param({"entries": [store_entry(sequence="ML1")]}, id="sequence-bad-residue"),
         pytest.param({"entries": [{"accession": "A1", "sequence": "MLKEFKEF"}]}, id="no-annotation"),
+        pytest.param({"entries": [store_entry(), store_entry(sequence="WWWWWWWW")]}, id="duplicate-accession"),
     ],
 )
 def test_load_built_store_raises_only_schema_errors(tmp_path, text):
@@ -595,6 +596,24 @@ def test_load_reference_store_requires_annotations(tmp_path):
     ann = tmp_path / "a.jsonl"
     ann.write_text(json.dumps({"accessions": ["OTHER"], "protein_name": "x"}) + "\n")
     with pytest.raises(MissingAnnotationError):
+        homology.load_reference_store(str(fasta), str(ann))
+
+
+def test_load_annotations_rejects_duplicate_accession(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    first = {"accessions": ["A1"], "protein_name": "first"}
+    second = {"accessions": ["B2"], "protein_name": "second", "accession": "A1"}
+    path.write_text(json.dumps(first) + "\n\n" + json.dumps(second) + "\n")
+    with pytest.raises(SchemaError, match=r"line 3: duplicate accession 'A1' \(first on line 1\)"):
+        load_annotations(str(path))
+
+
+def test_load_reference_store_rejects_duplicate_fasta_id(tmp_path):
+    fasta = tmp_path / "s.fasta"
+    fasta.write_text(">A1 first\nMLKEFKEFAL\n>B2\nMLKEF\nKEF\n>A1 second\nWWWWWWWWWW\n")
+    ann = tmp_path / "a.jsonl"
+    ann.write_text("".join(json.dumps({"accessions": [a], "protein_name": a}) + "\n" for a in ("A1", "B2")))
+    with pytest.raises(SchemaError, match=r"FASTA line 6: duplicate id 'A1' \(first on line 1\)"):
         homology.load_reference_store(str(fasta), str(ann))
 
 
