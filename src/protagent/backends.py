@@ -15,7 +15,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import BackendError, ConfigError, SchemaError
+from .errors import BackendError, ConfigError, SchemaError, read_text
 from .executor import ToolCall
 
 REQUEST_TIMEOUT_S = 120.0
@@ -77,41 +77,40 @@ class ScriptedBackend:
         Each line: {"content": str | null, "tool_calls": [{"name", "arguments"}]}.
         Malformed JSON, a line that is not an object, content that is neither
         a string nor null, tool calls that are neither a list nor null, null
-        content without tool calls, or a tool call without a name raises
-        SchemaError naming the 1-based line.
+        content without tool calls, or a tool call without a string name
+        raises SchemaError naming the 1-based line.
         """
         turns = []
-        with open(path, encoding="utf-8") as fh:
-            for turn_idx, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"script line {turn_idx + 1} is not valid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise SchemaError(f"script line {turn_idx + 1} is not a JSON object")
-                if not isinstance(obj.get("content"), (str, type(None))):
-                    raise SchemaError(f"script line {turn_idx + 1}: content must be a string or null")
-                tool_calls = obj.get("tool_calls")
-                if tool_calls is None:
-                    tool_calls = []
-                elif not isinstance(tool_calls, list):
-                    raise SchemaError(f"script line {turn_idx + 1}: tool_calls must be a list or null")
-                if obj.get("content") is None and not tool_calls:
-                    raise SchemaError(f"script line {turn_idx + 1}: null content needs tool calls")
-                if not all(isinstance(tc, dict) and "name" in tc for tc in tool_calls):
-                    raise SchemaError(f"script line {turn_idx + 1}: every tool call needs a name")
-                calls = tuple(
-                    ToolCall(
-                        call_id=f"call_{turn_idx}_{i}",
-                        name=tc["name"],
-                        arguments=tc.get("arguments", {}),
-                    )
-                    for i, tc in enumerate(tool_calls)
-                ) or None
-                turns.append(ChatMessage(role="assistant", content=obj.get("content"), tool_calls=calls))
+        for turn_idx, line in enumerate(read_text(path).split("\n")):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"script line {turn_idx + 1} is not valid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise SchemaError(f"script line {turn_idx + 1} is not a JSON object")
+            if not isinstance(obj.get("content"), (str, type(None))):
+                raise SchemaError(f"script line {turn_idx + 1}: content must be a string or null")
+            tool_calls = obj.get("tool_calls")
+            if tool_calls is None:
+                tool_calls = []
+            elif not isinstance(tool_calls, list):
+                raise SchemaError(f"script line {turn_idx + 1}: tool_calls must be a list or null")
+            if obj.get("content") is None and not tool_calls:
+                raise SchemaError(f"script line {turn_idx + 1}: null content needs tool calls")
+            if not all(isinstance(tc, dict) and isinstance(tc.get("name"), str) for tc in tool_calls):
+                raise SchemaError(f"script line {turn_idx + 1}: every tool call needs a string name")
+            calls = tuple(
+                ToolCall(
+                    call_id=f"call_{turn_idx}_{i}",
+                    name=tc["name"],
+                    arguments=tc.get("arguments", {}),
+                )
+                for i, tc in enumerate(tool_calls)
+            ) or None
+            turns.append(ChatMessage(role="assistant", content=obj.get("content"), tool_calls=calls))
         return cls(turns=turns)
 
     def complete(self, messages, tools, decoding) -> ChatMessage:
@@ -163,15 +162,24 @@ class HttpChatBackend:
             raise BackendError(f"chat completion message is not an object: {message!r}")
         if not isinstance(message.get("content"), (str, type(None))):
             raise BackendError(f"chat completion content is not a string: {message['content']!r}")
-        if message.get("content") is None and not message.get("tool_calls"):
+        tool_calls = message.get("tool_calls")
+        if not isinstance(tool_calls, (list, type(None))):
+            raise BackendError(f"chat completion tool_calls is not a list: {tool_calls!r}")
+        if message.get("content") is None and not tool_calls:
             raise BackendError("chat completion message has neither content nor tool calls")
         calls = None
-        if message.get("tool_calls"):
+        if tool_calls:
             parsed = []
-            for tc in message["tool_calls"]:
+            for tc in tool_calls:
                 function = tc.get("function", {}) if isinstance(tc, dict) else None
                 if not isinstance(function, dict):
                     raise BackendError(f"tool call is not an object with a 'function' object: {tc!r}")
+                call_id = tc.get("id", f"call_{len(parsed)}")
+                if not isinstance(call_id, str):
+                    raise BackendError(f"tool call id must be a string, got {call_id!r}")
+                name = function.get("name")
+                if not isinstance(name, str):
+                    raise BackendError(f"tool call needs a string function name, got {name!r}")
                 raw = function.get("arguments")
                 if raw is not None and not isinstance(raw, str):
                     raise BackendError(f"tool call arguments must be a JSON string, got {raw!r}")
@@ -179,12 +187,6 @@ class HttpChatBackend:
                     arguments = json.loads(function["arguments"] or "{}")
                 except (KeyError, json.JSONDecodeError):
                     arguments = {"__malformed__": raw}
-                parsed.append(
-                    ToolCall(
-                        call_id=tc.get("id", f"call_{len(parsed)}"),
-                        name=function.get("name", ""),
-                        arguments=arguments,
-                    )
-                )
+                parsed.append(ToolCall(call_id=call_id, name=name, arguments=arguments))
             calls = tuple(parsed)
         return ChatMessage(role="assistant", content=message.get("content"), tool_calls=calls)

@@ -12,7 +12,7 @@ import click
 from . import agent, domains, evaluation, homology
 from .backends import ChatMessage, DecodingParams, HttpChatBackend, ScriptedBackend
 from .config import RunConfig, build_config
-from .errors import ConfigError, ProtAgentError
+from .errors import ConfigError, ProtAgentError, read_text
 from .executor import SessionContext, SessionLimits, ToolCall, build_standard_registry, invoke
 from .seq import Sequence, parse_fasta, validate_sequence
 
@@ -48,8 +48,7 @@ def _read_sequence(sequence: str | None, sequence_file: str | None, seq_id: str 
     if sequence and sequence_file:
         raise click.ClickException("give either --sequence or --sequence-file, not both")
     if sequence_file:
-        with open(sequence_file, encoding="utf-8") as fh:
-            sequence = parse_fasta(fh.read())[0].sequence.residues
+        sequence = parse_fasta(read_text(sequence_file))[0].sequence.residues
     if not sequence:
         raise click.ClickException("a sequence is required (--sequence or --sequence-file)")
     return validate_sequence(seq_id, sequence)
@@ -66,8 +65,7 @@ def _load_registry(cfg: RunConfig):
         index = homology.build_index(entries)
         annotations = {e.accession: e.annotation for e in entries}
     if cfg.hmm_library:
-        with open(cfg.hmm_library, encoding="utf-8") as fh:
-            library = domains.parse_hmm_library(fh.read())
+        library = domains.parse_hmm_library(read_text(cfg.hmm_library))
     return build_standard_registry(index=index, annotations=annotations, hmm_library=library)
 
 

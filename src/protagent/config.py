@@ -6,9 +6,10 @@ environment variable that holds them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 
 @dataclass
@@ -38,6 +39,14 @@ class RunConfig:
             raise ConfigError("scripted backend requires a script file")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.max_turns < 1:
+            raise ConfigError(f"max_turns must be >= 1, got {self.max_turns}")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.tool_budget < 0:
+            raise ConfigError(f"tool_budget must be >= 0, got {self.tool_budget}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -47,8 +56,7 @@ def load_config_file(path: str) -> dict:
     """Parse key = value lines; '#' starts a comment; unknown keys rejected."""
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = read_text(path, ConfigError).split("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):

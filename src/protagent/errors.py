@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of input
+text files, which raises them."""
 
 
 class ProtAgentError(Exception):
@@ -72,3 +73,13 @@ class BackendError(ProtAgentError):
 
 class ConfigError(ProtAgentError):
     """Raised for unusable runtime configuration."""
+
+
+def read_text(path: str, error: type[ProtAgentError] = SchemaError) -> str:
+    """The text of a UTF-8 file, with universal newlines. A file that is not
+    UTF-8 raises `error` naming the file; OSError passes through."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc}") from exc

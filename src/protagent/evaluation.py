@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .agent import SessionResult
-from .errors import AlignmentMismatchError, EmptyReferenceError, ProtAgentError, SchemaError
+from .errors import AlignmentMismatchError, EmptyReferenceError, ProtAgentError, SchemaError, read_text
 from .seq import Sequence, validate_sequence
 from .templates import COLD_START_TEMPLATE
 
@@ -124,34 +124,33 @@ def load_benchmark(path: str) -> list[QaCase]:
     """
     cases = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"benchmark line {line_no} is not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"benchmark line {line_no} is not a JSON object")
-            bad = [k for k in _CASE_FIELDS if not isinstance(obj.get(k), str)]
-            if bad:
-                raise SchemaError(f"benchmark line {line_no}: field(s) {', '.join(bad)} missing or not strings")
-            case_id = obj["case_id"]
-            if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
-                raise SchemaError(f"benchmark line {line_no}: case_id {case_id!r} is not a safe file name")
-            if case_id in first_line:
-                raise SchemaError(
-                    f"benchmark line {line_no}: duplicate case_id {case_id!r} (first on line {first_line[case_id]})"
-                )
-            first_line[case_id] = line_no
-            fields = {k: obj[k] for k in _CASE_FIELDS}
-            try:
-                fields["sequence"] = validate_sequence(case_id, obj["sequence"])
-                cases.append(QaCase(**fields))
-            except ProtAgentError as exc:
-                raise SchemaError(f"benchmark line {line_no}: {exc}") from exc
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"benchmark line {line_no} is not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise SchemaError(f"benchmark line {line_no} is not a JSON object")
+        bad = [k for k in _CASE_FIELDS if not isinstance(obj.get(k), str)]
+        if bad:
+            raise SchemaError(f"benchmark line {line_no}: field(s) {', '.join(bad)} missing or not strings")
+        case_id = obj["case_id"]
+        if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
+            raise SchemaError(f"benchmark line {line_no}: case_id {case_id!r} is not a safe file name")
+        if case_id in first_line:
+            raise SchemaError(
+                f"benchmark line {line_no}: duplicate case_id {case_id!r} (first on line {first_line[case_id]})"
+            )
+        first_line[case_id] = line_no
+        fields = {k: obj[k] for k in _CASE_FIELDS}
+        try:
+            fields["sequence"] = validate_sequence(case_id, obj["sequence"])
+            cases.append(QaCase(**fields))
+        except ProtAgentError as exc:
+            raise SchemaError(f"benchmark line {line_no}: {exc}") from exc
     return cases
 
 

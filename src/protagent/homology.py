@@ -12,6 +12,14 @@ packed into plain ints, one field per query position, with fields wide
 enough for the bound 11 * min(len(query), longest candidate) + 15. The
 candidates are ranked by that score, and smith_waterman aligns them in rank
 order only until one passes min_seq_id.
+
+smith_waterman runs the same packed pass over the query, keeping each
+target residue's H and E columns, then traces back from the best-scoring
+end cells through them (the SSW recipe: a SIMD score pass, then the
+alignment recovered from what it found). Its cost is one packed pass plus
+the path lengths of the end cells it traces; it stops at the first path
+from (1, 1), so only inputs with many tied end cells, none of them
+reached from (1, 1), trace more than a path or two.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from .blosum62 import BLOSUM62
-from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError
+from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, read_text
 from .seq import Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
@@ -40,7 +48,6 @@ DEFAULT_MIN_SEQ_ID = 0.3
 DEFAULT_KMER_HIT_THRESHOLD = 2
 DIAGONAL_BAND = 16
 
-_IDENTITY = (1 << 32) + 1  # an identical diagonal step, in smith_waterman's path counts
 _MAX_SUBSTITUTION = 11  # BLOSUM62's largest score (W|W)
 _SCORE_BIAS = 4  # minus BLOSUM62's smallest score, so a packed score is >= 0
 
@@ -207,84 +214,6 @@ def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
     return ReferenceIndex(entries=entries, keys=keys)
 
 
-def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
-    """Optimal local alignment under affine gaps (Gotoh recurrences).
-
-    BLOSUM62 scores; a gap of length L costs GAP_OPEN + (L-1)*GAP_EXTEND.
-    Returns None when no alignment scores above zero.
-
-    One forward pass over two rows: O(len(b)) memory and no traceback. Every
-    H, E and F cell carries the start cell and the counts of its path, the
-    one a traceback from it would follow under these tie rules: in an H
-    cell the diagonal beats E and E beats F on equal scores; a gap opens
-    rather than extends on equal scores; a cell scoring <= 0 is a fresh
-    start, so its diagonal successor starts at itself. Of the best-scoring
-    end cells, the one whose path has the smallest (query_start,
-    target_start) is reported, then the first in row-major order.
-    """
-    rb = b.residues
-    width = len(rb) + 1
-    neg = -(10 ** 9)
-    # Per query letter: substitution scores along b, and the count
-    # increment of a diagonal step (identities * 2**32 + diagonal steps).
-    rows = {
-        c: ([BLOSUM62[(c, d)] for d in rb], [_IDENTITY if c == d else 1 for d in rb])
-        for c in set(a.residues)
-    }
-    # The previous row's H and F cells at columns 1..m: score, start cell
-    # (query_start * width + target_start), counts. Starts and counts of
-    # cells scoring <= 0 are never read, so they hold whatever came last.
-    ph = phs = phc = pfs = pfc = [0] * (width - 1)
-    pf = [neg] * (width - 1)
-    best = best_start = best_end = best_counts = 0
-    for i, c in enumerate(a.residues, 1):
-        sub, step = rows[c]
-        hr, hrs, hrc, fr, frs, frc = [], [], [], [], [], []
-        # H at column j-1 of the previous row (x) and of this row (h); E at j-1.
-        x = xs = xc = h = hs = hc = 0
-        e, es, ec = neg, 0, 0
-        cell = i * width
-        for s, n, y, ys, yc, f, fs, fc in zip(sub, step, ph, phs, phc, pf, pfs, pfc):
-            cell += 1
-            # E: open from H to the left, or extend E.
-            e -= GAP_EXTEND
-            if h - GAP_OPEN >= e:
-                e, es, ec = h - GAP_OPEN, hs, hc
-            # F: open from H above, or extend F.
-            f -= GAP_EXTEND
-            if y - GAP_OPEN >= f:
-                f, fs, fc = y - GAP_OPEN, ys, yc
-            # H: the diagonal, a fresh start when H there is <= 0.
-            h = x + s
-            if x > 0:
-                hs, hc = xs, xc + n
-            else:
-                hs, hc = cell, n
-            if e > h:
-                h, hs, hc = e, es, ec
-            if f > h:
-                h, hs, hc = f, fs, fc
-            if h <= 0:
-                h = 0
-            elif h >= best and (h > best or hs < best_start):
-                best, best_start, best_end, best_counts = h, hs, cell, hc
-            hr.append(h)
-            hrs.append(hs)
-            hrc.append(hc)
-            fr.append(f)
-            frs.append(fs)
-            frc.append(fc)
-            x, xs, xc = y, ys, yc
-        ph, phs, phc, pf, pfs, pfc = hr, hrs, hrc, fr, frs, frc
-
-    if not best:
-        return None
-    qs, ts = divmod(best_start, width)
-    qe, te = divmod(best_end, width)
-    aligned_length = (qe - qs + 1) + (te - ts + 1) - (best_counts & 0xFFFFFFFF)
-    return Alignment(best, qs, qe, ts, te, best_counts >> 32, aligned_length)
-
-
 @dataclass(frozen=True)
 class ScoreProfile:
     """A query packed for local_score: one field of `width` bits per query
@@ -320,16 +249,20 @@ def score_profile(query: Sequence, longest: int) -> ScoreProfile:
     return ScoreProfile(n, width, rows, ones, ones << (width - 1))
 
 
-def local_score(profile: ScoreProfile, target: str) -> int:
-    """The score smith_waterman reports for (query, target), 0 when it reports
-    None: the largest H cell of the Gotoh recurrences, by whole rows.
+def _score_pass(profile: ScoreProfile, target: str, h_cols: list | None = None, e_cols: list | None = None) -> int:
+    """The fieldwise maximum of H over target: each query position's best
+    H cell under the Gotoh recurrences, by whole columns. When h_cols and
+    e_cols are lists, each residue of target appends its H column and the E
+    column it used to them.
 
     One pass per target residue, each of a few operations on plain ints whose
     fields are the query positions (SWAR). H, E and F are floored at 0, which
-    leaves H unchanged because H itself is. The diagonal comes from the
-    previous row's H one field up; F from the previous row's H and F.
-    E[j] = max(H[j-1] - 11, E[j-1] - 1) is taken from H without E: a gap
-    opened from an H that came from E never beats extending that E, since
+    leaves H unchanged because H itself is. Here f carries E (the gap in the
+    query, along target) from column to column, and e is F (the gap in the
+    target, along the fields). The diagonal comes from the previous column's
+    H one field up; f from the previous column's H and f.
+    F[i] = max(H[i-1] - 11, F[i-1] - 1) is taken from H without F: a gap
+    opened from an H that came from F never beats extending that F, since
     the open cost is at least the extend cost (Farrar's lazy-F argument). It
     is then a max-plus prefix scan of the opened gaps, by doubling shifts,
     stopped at the first shift that changes nothing, after which no longer
@@ -348,14 +281,14 @@ def local_score(profile: ScoreProfile, target: str) -> int:
     # fields' value bits. max(u - k, 0) for a constant k keeps u - k under
     # the same masks.
     for c in target:
-        # H without E: max(diagonal, F) = max(H(i-1, j-1) + s + 4, F + 4) - 4,
-        # where F + 4 >= 4 makes the floor at 0 free.
+        # H without F: max(diagonal, E) = max(H(i-1, j-1) + s + 4, E + 4) - 4,
+        # where E + 4 >= 4 makes the floor at 0 free.
         u = ((h << width) & fields) + rows[c]
         v = f + bias
         d = (u | guards) - v
         g = d & guards
         h = v + (d & (g - (g >> top))) - bias
-        # E opened from H without E one field to the left, floored at 0.
+        # F opened from H without F one field down, floored at 0.
         d = (((h << width) & fields) | guards) - gap_open
         g = d & guards
         e = d & (g - (g >> top))
@@ -375,7 +308,10 @@ def local_score(profile: ScoreProfile, target: str) -> int:
             d = (h | guards) - e
             g = d & guards
             h = e + (d & (g - (g >> top)))
-        # F for the next row: max(H - 11, F - 1) = max(H, F + 10) - 11, floored at 0.
+        if h_cols is not None:
+            h_cols.append(h)
+            e_cols.append(f)
+        # E for the next column: max(H - 11, E - 1) = max(H, E + 10) - 11, floored at 0.
         v = f + extend_open
         d = (h | guards) - v
         g = d & guards
@@ -385,17 +321,119 @@ def local_score(profile: ScoreProfile, target: str) -> int:
         d = (best | guards) - h
         g = d & guards
         best = h + (d & (g - (g >> top)))
-    # The largest field: fold the upper half of the fields onto the lower.
-    n = profile.length
+    return best
+
+
+def _largest_field(profile: ScoreProfile, packed: int) -> int:
+    """The largest field of packed: fold the upper half of the fields onto
+    the lower."""
+    width, guards, n = profile.width, profile.guards, profile.length
+    top = width - 1
     while n > 1:
         half = (n + 1) >> 1
         low = (1 << (half * width)) - 1
-        v = best >> (half * width)
-        d = ((best & low) | (guards & low)) - v
+        v = packed >> (half * width)
+        d = ((packed & low) | (guards & low)) - v
         g = d & guards
-        best = v + (d & (g - (g >> top)))
+        packed = v + (d & (g - (g >> top)))
         n = half
-    return best
+    return packed
+
+
+def local_score(profile: ScoreProfile, target: str) -> int:
+    """The score smith_waterman reports for (query, target), 0 when it reports
+    None: the largest H cell of one packed pass (_score_pass)."""
+    return _largest_field(profile, _score_pass(profile, target))
+
+
+def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
+    """Optimal local alignment under affine gaps (Gotoh recurrences).
+
+    BLOSUM62 scores; a gap of length L costs GAP_OPEN + (L-1)*GAP_EXTEND.
+    Returns None when no alignment scores above zero.
+
+    Score pass, then traceback. The packed pass of local_score over a's
+    profile keeps, per residue of b, its H column and the E column it used,
+    two ints of len(a) fields. Each best-scoring end cell is then traced
+    back through them under these tie rules: in an H cell the diagonal beats
+    E and E beats F on equal scores; a gap opens rather than extends on
+    equal scores; a diagonal step from an H cell of 0 starts the path. Of
+    the end cells, the one whose path has the smallest (query_start,
+    target_start) is reported, then the first in row-major order.
+
+    Every H, E and F value on an optimal path is > 0, so a field the pass
+    floored at 0 never equals one, and testing a cell's value for equality
+    with each predecessor in the order above picks the predecessor the
+    recurrences chose. F is not stored: along a path its values follow from
+    the H cells above. The cost is one packed pass plus the path lengths of
+    the end cells traced; tracing stops at the first path that starts at
+    (1, 1), which no other can beat. The columns take about 2 * width bits
+    per cell (3.5 MB for 1000 x 1000 residues).
+    """
+    ra, rb = a.residues, b.residues
+    profile = score_profile(a, len(rb))
+    width = profile.width
+    mask = (1 << width) - 1
+    # Column j of H and E at index j; column 0 is the border, all 0.
+    h_cols, e_cols = [0], [0]
+    peaks = _score_pass(profile, rb, h_cols, e_cols)
+    best = _largest_field(profile, peaks)
+    if not best:
+        return None
+    # End cells in row-major order, each as (field shift, column): the
+    # query positions whose fields of peaks hold best (a zero-field test on
+    # peaks ^ best), then the columns where that field of H does. Lazily, so
+    # that a path from (1, 1) ends the search before the columns are read.
+    ones, guards = profile.ones, profile.guards
+    zeros = ~(((peaks ^ best * ones) | guards) - ones) & guards
+    rows = []
+    while zeros:
+        guard = zeros & -zeros
+        zeros ^= guard
+        rows.append(guard.bit_length() - width)
+    ends = ((at, j) for at in rows for j, h in enumerate(h_cols) if h >> at & mask == best)
+    found = None
+    for end_at, end_j in ends:
+        # The path walks (i, j) with `at` the field shift of query position i
+        # and v the value of the current H cell.
+        i, j, at, v = end_at // width + 1, end_j, end_at, best
+        identities = steps = 0
+        while True:
+            x = h_cols[j - 1] >> (at - width) & mask if at else 0
+            c, d = ra[i - 1], rb[j - 1]
+            if v == x + BLOSUM62[(c, d)]:
+                steps += 1
+                identities += c == d
+                if not x:
+                    break
+                i, j, at, v = i - 1, j - 1, at - width, x
+                continue
+            if v == e_cols[j] >> at & mask:
+                # E: back along b to the H cell the gap opened from.
+                while True:
+                    steps += 1
+                    j -= 1
+                    x = h_cols[j] >> at & mask
+                    if x - GAP_OPEN == v:
+                        break
+                    v += GAP_EXTEND
+            else:
+                # F: back along a likewise.
+                while True:
+                    steps += 1
+                    i -= 1
+                    at -= width
+                    x = h_cols[j] >> at & mask
+                    if x - GAP_OPEN == v:
+                        break
+                    v += GAP_EXTEND
+            v = x
+        if found is None or (i, j) < found[:2]:
+            found = (i, j, end_at // width + 1, end_j, identities, steps)
+            if i == j == 1:
+                break
+    qs, ts, qe, te, identities, steps = found
+    return Alignment(best, qs, qe, ts, te, identities, steps)
 
 
 def bit_score(raw_score: int) -> float:
@@ -486,28 +524,27 @@ def load_annotations(path: str) -> dict[str, AnnotationRecord]:
     repeated accession is a SchemaError naming both lines."""
     out: dict[str, AnnotationRecord] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"annotation line {line_no} is not valid JSON: {exc}") from exc
-            try:
-                record = AnnotationRecord.from_json(obj)
-            except SchemaError as exc:
-                raise SchemaError(f"annotation line {line_no}: {exc}") from exc
-            accession = obj.get("accession", record.accessions[0])
-            if not isinstance(accession, str):
-                raise SchemaError(f"annotation line {line_no}: accession must be a string, got {accession!r}")
-            if accession in first_line:
-                raise SchemaError(
-                    f"annotation line {line_no}: duplicate accession {accession!r} (first on line {first_line[accession]})"
-                )
-            first_line[accession] = line_no
-            out[accession] = record
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"annotation line {line_no} is not valid JSON: {exc}") from exc
+        try:
+            record = AnnotationRecord.from_json(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"annotation line {line_no}: {exc}") from exc
+        accession = obj.get("accession", record.accessions[0])
+        if not isinstance(accession, str):
+            raise SchemaError(f"annotation line {line_no}: accession must be a string, got {accession!r}")
+        if accession in first_line:
+            raise SchemaError(
+                f"annotation line {line_no}: duplicate accession {accession!r} (first on line {first_line[accession]})"
+            )
+        first_line[accession] = line_no
+        out[accession] = record
     return out
 
 
@@ -536,11 +573,10 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
     repeated accession raise SchemaError; an entry's error names its 1-based
     position.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise SchemaError(f"{path} is not a built reference store (no 'entries' list)")
     entries = []
@@ -567,8 +603,7 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
 def load_reference_store(fasta_path: str, annotations_path: str) -> list[ReferenceEntry]:
     """Pair a FASTA file with its JSON-lines annotations by accession; a
     repeated FASTA id is a SchemaError naming both header lines."""
-    with open(fasta_path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(fasta_path)
     records = parse_fasta(text)
     # parse_fasta makes one record per header line, in order.
     header_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith(">")]

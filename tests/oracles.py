@@ -25,6 +25,7 @@ from protagent.seq import Sequence
 
 GAP_OPEN = 11
 GAP_EXTEND = 1
+_IDENTITY = (1 << 32) + 1  # an identical diagonal step, in scalar_smith_waterman's path counts
 
 _LN2 = math.log(2)
 
@@ -229,6 +230,85 @@ def _sw_traceback(ra, rb, score, ph_rows, pe_rows, pf_rows, i, j) -> Alignment:
         identities=identities,
         aligned_length=aligned,
     )
+
+
+def scalar_smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
+    """Optimal local alignment under affine gaps (Gotoh recurrences): the
+    one-pass scalar kernel smith_waterman was before its packed score pass.
+
+    BLOSUM62 scores; a gap of length L costs GAP_OPEN + (L-1)*GAP_EXTEND.
+    Returns None when no alignment scores above zero.
+
+    One forward pass over two rows: O(len(b)) memory and no traceback. Every
+    H, E and F cell carries the start cell and the counts of its path, the
+    one a traceback from it would follow under these tie rules: in an H
+    cell the diagonal beats E and E beats F on equal scores; a gap opens
+    rather than extends on equal scores; a cell scoring <= 0 is a fresh
+    start, so its diagonal successor starts at itself. Of the best-scoring
+    end cells, the one whose path has the smallest (query_start,
+    target_start) is reported, then the first in row-major order.
+    """
+    rb = b.residues
+    width = len(rb) + 1
+    neg = -(10 ** 9)
+    # Per query letter: substitution scores along b, and the count
+    # increment of a diagonal step (identities * 2**32 + diagonal steps).
+    rows = {
+        c: ([BLOSUM62[(c, d)] for d in rb], [_IDENTITY if c == d else 1 for d in rb])
+        for c in set(a.residues)
+    }
+    # The previous row's H and F cells at columns 1..m: score, start cell
+    # (query_start * width + target_start), counts. Starts and counts of
+    # cells scoring <= 0 are never read, so they hold whatever came last.
+    ph = phs = phc = pfs = pfc = [0] * (width - 1)
+    pf = [neg] * (width - 1)
+    best = best_start = best_end = best_counts = 0
+    for i, c in enumerate(a.residues, 1):
+        sub, step = rows[c]
+        hr, hrs, hrc, fr, frs, frc = [], [], [], [], [], []
+        # H at column j-1 of the previous row (x) and of this row (h); E at j-1.
+        x = xs = xc = h = hs = hc = 0
+        e, es, ec = neg, 0, 0
+        cell = i * width
+        for s, n, y, ys, yc, f, fs, fc in zip(sub, step, ph, phs, phc, pf, pfs, pfc):
+            cell += 1
+            # E: open from H to the left, or extend E.
+            e -= GAP_EXTEND
+            if h - GAP_OPEN >= e:
+                e, es, ec = h - GAP_OPEN, hs, hc
+            # F: open from H above, or extend F.
+            f -= GAP_EXTEND
+            if y - GAP_OPEN >= f:
+                f, fs, fc = y - GAP_OPEN, ys, yc
+            # H: the diagonal, a fresh start when H there is <= 0.
+            h = x + s
+            if x > 0:
+                hs, hc = xs, xc + n
+            else:
+                hs, hc = cell, n
+            if e > h:
+                h, hs, hc = e, es, ec
+            if f > h:
+                h, hs, hc = f, fs, fc
+            if h <= 0:
+                h = 0
+            elif h >= best and (h > best or hs < best_start):
+                best, best_start, best_end, best_counts = h, hs, cell, hc
+            hr.append(h)
+            hrs.append(hs)
+            hrc.append(hc)
+            fr.append(f)
+            frs.append(fs)
+            frc.append(fc)
+            x, xs, xc = y, ys, yc
+        ph, phs, phc, pf, pfs, pfc = hr, hrs, hrc, fr, frs, frc
+
+    if not best:
+        return None
+    qs, ts = divmod(best_start, width)
+    qe, te = divmod(best_end, width)
+    aligned_length = (qe - qs + 1) + (te - ts + 1) - (best_counts & 0xFFFFFFFF)
+    return Alignment(best, qs, qe, ts, te, best_counts >> 32, aligned_length)
 
 
 # --- k-mer prefilter ---------------------------------------------------------

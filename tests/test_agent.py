@@ -391,6 +391,11 @@ def test_http_backend_parses_tool_calls(monkeypatch):
         {"content": None},  # neither content nor tool calls
         {"content": None, "tool_calls": []},
         {},
+        {"content": None, "tool_calls": 5},
+        {"content": "a", "tool_calls": {"id": "c0"}},
+        {"content": None, "tool_calls": [{**http_tool_call("{}"), "id": 7}]},
+        {"content": None, "tool_calls": [{"id": "c0", "function": {"name": 5, "arguments": "{}"}}]},
+        {"content": None, "tool_calls": [{"id": "c0", "function": {"arguments": "{}"}}]},
     ],
 )
 def test_http_backend_malformed_message_is_backend_error(monkeypatch, registry, mscl_seq, message):

@@ -296,6 +296,32 @@ def test_missing_input_file_is_a_message(runner, tmp_path, args):
     assert "absent.jsonl" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tools", "run", "seq_basic_props", "--sequence-file", "{bad}"],
+        ["tools", "run", "mmseqs2_besthit_uniprot", "--sequence", MSCL_RESIDUES, "--store-json", "{bad}"],
+        ["tools", "run", "pfam_hmmscan", "--sequence", MSCL_RESIDUES, "--hmm-library", "{bad}"],
+        ["ask", "--question", "Q?", "--sequence", MSCL_RESIDUES, "--config", "{bad}"],
+        bench_args("{bad}", data_path("replay.jsonl"), "{tmp}/run"),
+        bench_args(data_path("cases.jsonl"), "{bad}", "{tmp}/run"),
+        ["index", "build", "--fasta", "{bad}", "--annotations", data_path("store.annotations.jsonl"),
+         "--out", "{tmp}/store.json"],
+        ["index", "build", "--fasta", data_path("store.fasta"), "--annotations", "{bad}", "--out", "{tmp}/store.json"],
+        ["synth", "--cases", "{bad}", "--out", "{tmp}/p.jsonl"],
+    ],
+    ids=["sequence-file", "store-json", "hmm-library", "config", "bench-cases", "bench-script", "fasta",
+         "annotations", "synth-cases"],
+)
+def test_non_utf8_input_file_is_a_message(runner, tmp_path, args):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe>q\nMLKV\n")
+    result = runner.invoke(main, [a.format(tmp=tmp_path, bad=bad) for a in args])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), result.exception  # a message, not a traceback
+    assert f"{bad} is not UTF-8 text" in result.output
+
+
 def test_synth_out_into_missing_directory_is_a_message(runner, tmp_path):
     out = tmp_path / "absent" / "p.jsonl"
     result = runner.invoke(main, ["synth", "--cases", data_path("cases.jsonl"), "--out", str(out)])

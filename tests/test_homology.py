@@ -11,6 +11,7 @@ from oracles import (
     reference_candidate_ordinals,
     reference_search_best_hit,
     reference_smith_waterman,
+    scalar_smith_waterman,
 )
 from protagent import homology
 from protagent.blosum62 import BLOSUM62, score
@@ -213,6 +214,53 @@ def test_tie_equal_ends_with_equal_start_report_the_first():
     # X scores 0 against E, so L|L and LX|LE both score 4 from (1, 1): the
     # end first in row-major order wins.
     assert assert_matches_reference("LX", "LE") == Alignment(4, 1, 1, 1, 1, 1, 1)
+
+
+def test_tie_later_end_cell_with_smaller_start_wins():
+    # AG|AG ends at (3, 2) from (2, 1), and AAG|AGG (A|G scores 0) ends at
+    # (3, 3) from (1, 1); both score 10. The end cell first in row-major
+    # order starts later, so only tracing back every end cell reports (1, 1).
+    assert assert_matches_reference("AAG", "AGG") == Alignment(10, 1, 3, 1, 3, 2, 3)
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """A sequence over a small alphabet and a copy with up to three edits
+    (a cut of up to 3 residues and an insert of up to 4), so that gapped and
+    ungapped paths of equal score are common."""
+    alphabet = draw(st.sampled_from(["WAG", "MWGX", "LD"]))
+    a = draw(st.text(alphabet=alphabet, min_size=1, max_size=24))
+    b = a
+    for at, cut, insert in draw(
+        st.lists(st.tuples(st.integers(0, len(a)), st.integers(0, 3), st.text(alphabet=alphabet, max_size=4)), max_size=3)
+    ):
+        b = b[:at] + insert + b[at + cut :]
+    return a, b or a
+
+
+@given(tie_heavy_pairs())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_alignment_equals_reference_on_tie_heavy_alphabets(pair):
+    assert_matches_reference(*pair)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("W", "W" * 3000),
+        ("W" * 200, "W" * 3000),
+        ("AG" * 100, "AG" * 1500),
+        ("W" * 1000, "W" * 1000),
+        # No path starts at (1, 1), so every end cell is traced back.
+        ("W", "A" + "W" * 400),
+        ("A" + "W" * 40, "W" * 400),
+    ],
+    ids=["W-x-W3000", "W200-x-W3000", "AG100-x-AG1500", "W1000-x-W1000", "W-x-AW400", "AW40-x-W400"],
+)
+def test_alignment_equals_scalar_kernel_on_long_ties(a, b):
+    # Thousands of best-scoring end cells, or one path a thousand steps long.
+    q, t = seq(a, "q"), seq(b, "t")
+    assert smith_waterman(q, t) == scalar_smith_waterman(q, t)
 
 
 # --- bit-parallel score pass ------------------------------------------------
