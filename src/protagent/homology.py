@@ -17,9 +17,8 @@ smith_waterman runs the same packed pass over the query, keeping each
 target residue's H and E columns, then traces back from the best-scoring
 end cells through them (the SSW recipe: a SIMD score pass, then the
 alignment recovered from what it found). Its cost is one packed pass plus
-the path lengths of the end cells it traces; it stops at the first path
-from (1, 1), so only inputs with many tied end cells, none of them
-reached from (1, 1), trace more than a path or two.
+the path lengths of the end cells it traces, in row-major order up to the
+first path from (1, 1), which no other can beat.
 """
 
 from __future__ import annotations
@@ -386,12 +385,12 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
     # that a path from (1, 1) ends the search before the columns are read.
     ones, guards = profile.ones, profile.guards
     zeros = ~(((peaks ^ best * ones) | guards) - ones) & guards
-    rows = []
+    shifts = []
     while zeros:
         guard = zeros & -zeros
         zeros ^= guard
-        rows.append(guard.bit_length() - width)
-    ends = ((at, j) for at in rows for j, h in enumerate(h_cols) if h >> at & mask == best)
+        shifts.append(guard.bit_length() - width)
+    ends = ((at, j) for at in shifts for j, h in enumerate(h_cols) if h >> at & mask == best)
     found = None
     for end_at, end_j in ends:
         # The path walks (i, j) with `at` the field shift of query position i
