@@ -118,10 +118,10 @@ def ask(question, sequence, sequence_file, paradigm, config_path, run_dir, **ove
         seq = _read_sequence(sequence, sequence_file)
         registry = _load_registry(cfg)
         backend = _backend_factory(cfg)()
+        os.makedirs(os.path.join(cfg.run_dir, "traces"), exist_ok=True)
         result = _run_session(paradigm, backend, registry, question, seq, cfg, "ask")
     except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
-    os.makedirs(os.path.join(cfg.run_dir, "traces"), exist_ok=True)
     trace_path = os.path.join(cfg.run_dir, "traces", "ask.json")
     agent.save_trace(result.trace, trace_path)
     click.echo(f"stop_reason: {result.stop_reason}")
@@ -147,6 +147,8 @@ def bench(paradigm, cases_path, config_path, run_dir, workers, **overrides):
         cases = evaluation.load_benchmark(cases_path)
         registry = _load_registry(cfg)
         new_backend = _backend_factory(cfg)
+        traces_dir = os.path.join(cfg.run_dir, "traces")
+        os.makedirs(traces_dir, exist_ok=True)
     except (ProtAgentError, OSError) as exc:
         raise click.ClickException(str(exc))
 
@@ -158,8 +160,6 @@ def bench(paradigm, cases_path, config_path, run_dir, workers, **overrides):
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         results = dict(pool.map(run_case, cases))
 
-    traces_dir = os.path.join(cfg.run_dir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
     for case_id, result in results.items():
         agent.save_trace(result.trace, os.path.join(traces_dir, f"{case_id}.json"))
     report = evaluation.evaluate_run(cases, results)

@@ -8,10 +8,12 @@ residue count of the store.
 
 Search is score first. A bit-parallel pass (local_score) computes the
 optimal local score of every prefilter candidate over a query profile
-packed into plain ints, one field per query position, with fields wide
-enough for the bound 11 * min(len(query), longest candidate) + 15. The
-candidates are ranked by that score, and smith_waterman aligns them in rank
-order only until one passes min_seq_id.
+packed into plain ints, one field per query position. A field is wide
+enough for the query's score bound B + 15 plus one headroom bit and a guard
+bit, where B is the smaller of the sum of each query residue's best
+BLOSUM62 score and 11 * the longest candidate. The candidates are ranked by
+that score, and smith_waterman aligns them in rank order only until one
+passes min_seq_id.
 
 smith_waterman runs the same packed pass over the query, keeping each
 target residue's H and E columns, then traces back from the best-scoring
@@ -62,6 +64,10 @@ _OFFSET_MASK = (1 << _OFFSET_BITS) - 1
 _ORDINAL_MASK = (1 << (_CODE_SHIFT - _OFFSET_BITS)) - 1
 MAX_ENTRY_RESIDUES = 1 << _OFFSET_BITS
 MAX_ENTRIES = 1 << (_CODE_SHIFT - _OFFSET_BITS)
+
+# Each letter's best BLOSUM62 score against any letter, never below 0: its
+# diagonal, and 0 for X.
+_BEST_SCORE = {q: max(0, *(BLOSUM62[(q, c)] for c in KMER_ALPHABET)) for q in KMER_ALPHABET}
 
 
 @dataclass(frozen=True)
@@ -216,13 +222,18 @@ def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
 @dataclass(frozen=True)
 class ScoreProfile:
     """A query packed for local_score: one field of `width` bits per query
-    position, position 0 lowest, the top bit of each field a guard.
+    position, position 0 lowest, the top bit of each field a guard and the
+    bit below it headroom.
 
     `rows[c]` holds BLOSUM62[(q_j, c)] + 4 in field j for every letter c of
-    KMER_ALPHABET. A field holds values below 2**(width - 1); the width comes
-    from the score bound 11 * min(len(query), longest) + 15 (every aligned
-    pair scores at most 11, and a diagonal step adds at most 15 to an H
-    cell), so local_score is exact on targets of at most `longest` residues.
+    KMER_ALPHABET. No local alignment of the query against a target of at
+    most `longest` residues scores above B, the smaller of the sum of each
+    query residue's best score (never below 0) and 11 * longest; a diagonal
+    step adds at most 15 to an H cell. The width is the bit length of B + 15
+    plus one headroom bit and the guard, so every H, E and F value is below
+    2**(width - 2), and the gap scan of _score_pass may add up to
+    2**(width - 3) to one without reaching the guard. local_score is exact on
+    targets of at most `longest` residues.
     """
 
     length: int
@@ -235,16 +246,17 @@ class ScoreProfile:
 def score_profile(query: Sequence, longest: int) -> ScoreProfile:
     """Pack query for local_score against targets of at most longest residues."""
     n = query.length
-    width = (_MAX_SUBSTITUTION * min(n, longest) + _MAX_SUBSTITUTION + _SCORE_BIAS).bit_length() + 1
-    # Each row as binary text, field n-1 first so that position 0 lands in
-    # the lowest bits.
-    backwards = query.residues[::-1]
-    bits = [format(v, f"0{width}b") for v in range(_MAX_SUBSTITUTION + _SCORE_BIAS + 1)]
-    rows = {}
-    for c in KMER_ALPHABET:
-        field_bits = {q: bits[BLOSUM62[(q, c)] + _SCORE_BIAS] for q in KMER_ALPHABET}
-        rows[c] = int("".join(map(field_bits.__getitem__, backwards)), 2)
-    ones = int(bits[1] * n, 2)
+    bound = min(sum(map(_BEST_SCORE.__getitem__, query.residues)), _MAX_SUBSTITUTION * longest)
+    width = (bound + _MAX_SUBSTITUTION + _SCORE_BIAS).bit_length() + 2
+    # One mask per query letter, 1 in the field of each of its positions;
+    # each row is a sum of masks times scores.
+    masks = {}
+    bit = 1
+    for q in query.residues:
+        masks[q] = masks.get(q, 0) | bit
+        bit <<= width
+    rows = {c: sum((BLOSUM62[(q, c)] + _SCORE_BIAS) * m for q, m in masks.items()) for c in KMER_ALPHABET}
+    ones = sum(masks.values())
     return ScoreProfile(n, width, rows, ones, ones << (width - 1))
 
 
@@ -263,47 +275,48 @@ def _score_pass(profile: ScoreProfile, target: str, h_cols: list | None = None, 
     F[i] = max(H[i-1] - 11, F[i-1] - 1) is taken from H without F: a gap
     opened from an H that came from F never beats extending that F, since
     the open cost is at least the extend cost (Farrar's lazy-F argument). It
-    is then a max-plus prefix scan of the opened gaps, by doubling shifts,
-    stopped at the first shift that changes nothing, after which no longer
-    shift can. A shift s changes something only where a field holds more
-    than s, so the scan stops by s = 2**(width - 1), and every decay it
-    subtracts fits a field.
+    is then a max-plus prefix scan of the opened gaps, by doubling shifts s:
+    max(e shifted s fields up - s, e) = e + (the excess of the shifted e over
+    e + s, where there is one), one guarded compare per step, since e + s
+    stays below the guard (ScoreProfile). The scan stops at the first shift
+    that changes nothing, after which no longer shift can. An opened gap e
+    is below 2**(width - 2) and reaches only the fields fewer than e above
+    it, so the shifts 1, 2, ..., 2**(width - 3) carry every gap its whole
+    way.
     """
     width, rows, ones, guards = profile.width, profile.rows, profile.ones, profile.guards
     top = width - 1
-    fields = (1 << (profile.length * width)) - 1
     bias, extend_open, gap_open = _SCORE_BIAS * ones, (GAP_OPEN - GAP_EXTEND) * ones, GAP_OPEN * ones
+    # (shift in bits, decay) per doubling step of the gap scan.
+    steps = [(width << k, ones << k) for k in range(width - 2)]
     h = f = best = 0
     # Every fieldwise max(u, v) below is v + ((u - v) where u >= v, else 0):
     # with the guards set, u - v leaves a field's guard set exactly where
     # u >= v, and g - (g >> top) turns those guards into masks of their
     # fields' value bits. max(u - k, 0) for a constant k keeps u - k under
-    # the same masks.
+    # the same masks. Bits shifted past the top field are never cleared: a
+    # borrow only runs upwards, and the masks cover the fields alone, so no
+    # result keeps them.
     for c in target:
         # H without F: max(diagonal, E) = max(H(i-1, j-1) + s + 4, E + 4) - 4,
         # where E + 4 >= 4 makes the floor at 0 free.
-        u = ((h << width) & fields) + rows[c]
+        u = (h << width) + rows[c]
         v = f + bias
         d = (u | guards) - v
         g = d & guards
         h = v + (d & (g - (g >> top))) - bias
         # F opened from H without F one field down, floored at 0.
-        d = (((h << width) & fields) | guards) - gap_open
+        d = ((h << width) | guards) - gap_open
         g = d & guards
         e = d & (g - (g >> top))
         if e:
-            shift = 1
-            while True:
-                d = (((e << (shift * width)) & fields) | guards) - shift * ones
+            for shift, decay in steps:
+                d = ((e << shift) | guards) - (e + decay)
                 g = d & guards
-                v = d & (g - (g >> top))
-                d = (e | guards) - v
-                g = d & guards
-                v += d & (g - (g >> top))
-                if v == e:
+                d &= g - (g >> top)
+                if not d:
                     break
-                e = v
-                shift <<= 1
+                e += d
             d = (h | guards) - e
             g = d & guards
             h = e + (d & (g - (g >> top)))
@@ -367,7 +380,7 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
     the H cells above. The cost is one packed pass plus the path lengths of
     the end cells traced; tracing stops at the first path that starts at
     (1, 1), which no other can beat. The columns take about 2 * width bits
-    per cell (3.5 MB for 1000 x 1000 residues).
+    per cell (4 MB for 1000 x 1000 random residues, in 15-bit fields).
     """
     ra, rb = a.residues, b.residues
     profile = score_profile(a, len(rb))

@@ -95,19 +95,23 @@ def brute_local_score(a: str, b: str) -> int:
 
 def gotoh_local_score(a: str, b: str) -> int:
     """Independent affine-gap local alignment DP (score only)."""
+    return max(gotoh_row_maxima(a, b), default=0)
+
+
+def gotoh_row_maxima(a: str, b: str) -> list[int]:
+    """The largest H cell of each row of the same DP, one per residue of a
+    (0 where no cell of the row is positive)."""
     n, m = len(a), len(b)
     neg = float("-inf")
     H = [[0.0] * (m + 1) for _ in range(n + 1)]
     E = [[neg] * (m + 1) for _ in range(n + 1)]
     F = [[neg] * (m + 1) for _ in range(n + 1)]
-    best = 0.0
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             E[i][j] = max(H[i][j - 1] - GAP_OPEN, E[i][j - 1] - GAP_EXTEND)
             F[i][j] = max(H[i - 1][j] - GAP_OPEN, F[i - 1][j] - GAP_EXTEND)
             H[i][j] = max(0.0, H[i - 1][j - 1] + BLOSUM62[(a[i - 1], b[j - 1])], E[i][j], F[i][j])
-            best = max(best, H[i][j])
-    return int(best)
+    return [int(max(row)) for row in H[1:]]
 
 
 def reference_smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:

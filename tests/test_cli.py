@@ -180,6 +180,32 @@ def test_bench_missing_cases_file(runner, tmp_path):
     assert "absent.jsonl" in result.output
 
 
+@pytest.mark.parametrize("command", ["ask", "bench"])
+def test_run_dir_that_is_a_file_fails_before_any_session(runner, tmp_path, monkeypatch, command):
+    sessions = []
+    monkeypatch.setattr("protagent.cli._run_session", lambda *args: sessions.append(args))
+    run_file = tmp_path / "run"
+    run_file.write_text("not a directory\n")
+    args = {
+        "ask": ["ask", "--question", "Q?", "--sequence", MSCL_RESIDUES],
+        "bench": ["bench", "--cases", data_path("cases.jsonl")],
+    }[command]
+    result = runner.invoke(
+        main,
+        args + [
+            "--paradigm", "direct",
+            "--backend", "scripted",
+            "--script", data_path("direct_replies.jsonl"),
+            "--run-dir", str(run_file),
+        ],
+    )
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert f"Error: [Errno 20] Not a directory: '{run_file / 'traces'}'" in result.output
+    assert sessions == []
+    assert run_file.read_text() == "not a directory\n"
+
+
 def test_index_build_and_reuse(runner, tmp_path):
     out = tmp_path / "store.json"
     result = runner.invoke(

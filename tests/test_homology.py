@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_local_score,
     gotoh_local_score,
+    gotoh_row_maxima,
     reference_candidate_ordinals,
     reference_search_best_hit,
     reference_smith_waterman,
@@ -323,9 +324,9 @@ def test_score_equals_reference_on_lopsided_lengths():
 
 
 def test_score_equals_reference_with_runs_far_apart():
-    # WWWWWW packs 8-bit fields (bound 11 * 6 + 15 = 81), so a gap decay of
-    # 256 or more no longer fits one field: the scan must stop doubling
-    # before its shift gets there, although the packed query is longer.
+    # Packed against WWWWWW, the long query has 9-bit fields (B = 11 * 6,
+    # B + 15 = 81), so the gap scan's shifts end at 64 fields, although the
+    # packed query is longer; a longer shift would carry nothing.
     for gap in (100, 250, 257, 263, 270, 300, 520):
         assert assert_score_matches_reference("WWW" + "G" * gap + "WWW", "WWWWWW") == 33
 
@@ -338,10 +339,100 @@ def test_score_equals_reference_on_mutated_homologs():
 
 
 def test_score_fills_the_widest_field():
-    # 3000 W|W pairs score 11 each: the bound 11 * 3000 + 15 = 33015 needs
-    # 16 value bits, and a field one bit narrower overflows.
+    # 3000 W|W pairs score 11 each, the bound B = 33000 itself: B + 15 =
+    # 33015 takes 16 bits, and each field 18 with the headroom bit and the
+    # guard.
     w = "W" * 3000
-    assert local_score(score_profile(seq(w), len(w)), w) == 33000
+    profile = score_profile(seq(w), len(w))
+    assert profile.width == 18
+    assert local_score(profile, w) == 33000
+
+
+# --- field width and gap scan ------------------------------------------------
+
+# Letters by their best BLOSUM62 score (the diagonal).
+BEST_FOUR, BEST_FIVE = "AILSV", "RQEKMT"
+
+
+def residues_scoring(rng: random.Random, total: int) -> str:
+    """Random X-free residues whose diagonal scores sum to total (>= 12)."""
+    out, left = [], total
+    while left > 23:
+        c = rng.choice(CANONICAL_RESIDUES)
+        out.append(c)
+        left -= BLOSUM62[(c, c)]
+    # 12 <= left <= 23 is a sum of 4s and 5s.
+    fives = left % 4
+    out += [rng.choice(BEST_FIVE) for _ in range(fives)]
+    out += [rng.choice(BEST_FOUR) for _ in range((left - 5 * fives) // 4)]
+    rng.shuffle(out)
+    return "".join(out)
+
+
+def packed_fields(profile, packed: int) -> list[int]:
+    mask = (1 << profile.width) - 1
+    return [packed >> (i * profile.width) & mask for i in range(profile.length)]
+
+
+def assert_field_maxima_match_reference(a: str, b: str) -> list[int]:
+    """Each query position's best H cell from the packed pass over a's
+    profile equals the reference DP's row maximum, with nothing above the
+    top field; returns them."""
+    profile = score_profile(seq(a, "q"), len(b))
+    packed = homology._score_pass(profile, b)
+    assert packed >> (profile.length * profile.width) == 0
+    got = packed_fields(profile, packed)
+    assert got == gotoh_row_maxima(a, b), (a, b)
+    return got
+
+
+@pytest.mark.parametrize("k", [6, 9, 12])
+@pytest.mark.parametrize("over", [-1, 0], ids=["2**k-1", "2**k"])
+def test_self_alignment_scores_the_bound_at_width_edges(k, over):
+    # Every letter's diagonal is its row maximum, so a self-alignment scores
+    # the bound B exactly. B + 15 = 2**k - 1 fills k bits and 2**k needs
+    # k + 1: the width is the narrowest that keeps the headroom bit below
+    # the guard clear of B + 15, so it steps up by one between the two.
+    bound = 2**k + over - 15
+    rng = random.Random(f"bound-{k}{over}")
+    q = seq(residues_scoring(rng, bound), "q")
+    profile = score_profile(q, q.length)
+    assert 2 ** (profile.width - 3) <= bound + 15 < 2 ** (profile.width - 2)
+    assert local_score(profile, q.residues) == bound
+    assert smith_waterman(q, q) == Alignment(bound, 1, q.length, 1, q.length, q.length, q.length)
+
+
+def test_score_equals_reference_on_narrowest_fields():
+    # Queries of letters whose best score is 4 (AILSV) or 0 (X) pack the
+    # narrowest fields for their length. Each target holds the query's two
+    # halves apart by a long gap, and each query holds a long insert, so E
+    # and F both run far.
+    rng = random.Random(41)
+    for _ in range(40):
+        q = random_residues(rng, BEST_FOUR + "XX", 4, 40)
+        cut = rng.randint(1, len(q) - 1)
+        target = (random_residues(rng, CANONICAL_RESIDUES, 20, 120) + q[:cut]
+                  + random_residues(rng, CANONICAL_RESIDUES, 10, 60) + q[cut:]
+                  + random_residues(rng, CANONICAL_RESIDUES, 20, 120))
+        inserted = q[:cut] + random_residues(rng, BEST_FOUR + "X", 10, 40) + q[cut:]
+        assert score_profile(seq(q), len(target)).width <= 10
+        for query in (q, inserted):
+            assert_score_matches_reference(query, target)
+            assert_field_maxima_match_reference(query, target)
+    assert score_profile(seq("AXXXXXXXXV"), 300).width == 7  # B = 8
+
+
+@pytest.mark.parametrize("tail", ["X", "G"])
+def test_gap_scan_takes_its_last_step(tail):
+    # W * 10 against itself scores 110 = B (for X, the sum of best scores;
+    # for G, 11 * the target length), so the fields are 9 bits and the
+    # scan's shifts end at 64. In the last column the gap opened below the
+    # tail (99) reaches the tail's last field 69 fields up, at 30: only the
+    # shift of 64 carries it there.
+    q = "W" * 10 + tail * 70
+    assert score_profile(seq(q), 10).width == 9
+    maxima = assert_field_maxima_match_reference(q, "W" * 10)
+    assert maxima[10:] == [99 - k for k in range(70)]
 
 
 # --- statistics -------------------------------------------------------------
