@@ -15,7 +15,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import BackendError, ConfigError, SchemaError, read_text
+from .errors import BackendError, ConfigError, SchemaError, read_jsonl
 from .executor import ToolCall
 
 REQUEST_TIMEOUT_S = 120.0
@@ -75,43 +75,13 @@ class ScriptedBackend:
         """Load canned turns: one JSON object per line, keyed by turn order.
 
         Each line: {"content": str | null, "tool_calls": [{"name", "arguments"}]}.
-        Malformed JSON, a line that is not an object, content that is neither
-        a string nor null, tool calls that are neither a list nor null, null
-        content without tool calls, or a tool call without a string name
-        raises SchemaError naming the 1-based line.
+        Besides read_jsonl's checks, content that is neither a string nor
+        null, tool calls that are neither a list nor null, null content
+        without tool calls, or a tool call without a string name raises
+        SchemaError naming the 1-based line. The calls on line N are
+        `call_{N-1}_{i}`, so blank lines count.
         """
-        turns = []
-        for turn_idx, line in enumerate(read_text(path).split("\n")):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"script line {turn_idx + 1} is not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"script line {turn_idx + 1} is not a JSON object")
-            if not isinstance(obj.get("content"), (str, type(None))):
-                raise SchemaError(f"script line {turn_idx + 1}: content must be a string or null")
-            tool_calls = obj.get("tool_calls")
-            if tool_calls is None:
-                tool_calls = []
-            elif not isinstance(tool_calls, list):
-                raise SchemaError(f"script line {turn_idx + 1}: tool_calls must be a list or null")
-            if obj.get("content") is None and not tool_calls:
-                raise SchemaError(f"script line {turn_idx + 1}: null content needs tool calls")
-            if not all(isinstance(tc, dict) and isinstance(tc.get("name"), str) for tc in tool_calls):
-                raise SchemaError(f"script line {turn_idx + 1}: every tool call needs a string name")
-            calls = tuple(
-                ToolCall(
-                    call_id=f"call_{turn_idx}_{i}",
-                    name=tc["name"],
-                    arguments=tc.get("arguments", {}),
-                )
-                for i, tc in enumerate(tool_calls)
-            ) or None
-            turns.append(ChatMessage(role="assistant", content=obj.get("content"), tool_calls=calls))
-        return cls(turns=turns)
+        return cls(turns=read_jsonl(path, "script", _scripted_turn))
 
     def complete(self, messages, tools, decoding) -> ChatMessage:
         if self.cursor >= len(self.turns):
@@ -119,6 +89,26 @@ class ScriptedBackend:
         turn = self.turns[self.cursor]
         self.cursor += 1
         return turn
+
+
+def _scripted_turn(line_no: int, obj: dict) -> ChatMessage:
+    content = obj.get("content")
+    if not isinstance(content, (str, type(None))):
+        raise SchemaError("content must be a string or null")
+    tool_calls = obj.get("tool_calls")
+    if tool_calls is None:
+        tool_calls = []
+    elif not isinstance(tool_calls, list):
+        raise SchemaError("tool_calls must be a list or null")
+    if content is None and not tool_calls:
+        raise SchemaError("null content needs tool calls")
+    if not all(isinstance(tc, dict) and isinstance(tc.get("name"), str) for tc in tool_calls):
+        raise SchemaError("every tool call needs a string name")
+    calls = tuple(
+        ToolCall(call_id=f"call_{line_no - 1}_{i}", name=tc["name"], arguments=tc.get("arguments", {}))
+        for i, tc in enumerate(tool_calls)
+    ) or None
+    return ChatMessage(role="assistant", content=content, tool_calls=calls)
 
 
 class HttpChatBackend:

@@ -55,13 +55,12 @@ def _read_sequence(sequence: str | None, sequence_file: str | None, seq_id: str 
 
 
 def _load_registry(cfg: RunConfig):
-    index = annotations = library = None
+    entries = index = annotations = library = None
     if cfg.store_json:
         entries = homology.load_built_store(cfg.store_json)
-        index = homology.build_index(entries)
-        annotations = {e.accession: e.annotation for e in entries}
     elif cfg.store_fasta and cfg.store_annotations:
         entries = homology.load_reference_store(cfg.store_fasta, cfg.store_annotations)
+    if entries is not None:
         index = homology.build_index(entries)
         annotations = {e.accession: e.annotation for e in entries}
     if cfg.hmm_library:

@@ -53,8 +53,10 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
-    """Parse key = value lines; '#' starts a comment; unknown keys rejected."""
+    """Parse key = value lines; '#' starts a comment; unknown or repeated
+    keys rejected."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     try:
         lines = read_text(path, ConfigError).split("\n")
     except OSError as exc:
@@ -69,6 +71,8 @@ def load_config_file(path: str) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        if first_line.setdefault(key, line_no) != line_no:
+            raise ConfigError(f"{path}:{line_no}: duplicate config key {key!r} (first on line {first_line[key]})")
         values[key] = _coerce(key, raw, f"{path}:{line_no}")
     return values
 

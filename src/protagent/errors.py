@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the one reader of input
-text files, which raises them."""
+"""Exception types shared across the package, and the readers of input
+files that raise them: `read_text` for any UTF-8 file, `read_jsonl` for the
+JSON-lines files (one object per line), and `check_unique`, the one check
+for a key that an input repeats."""
+
+import json
 
 
 class ProtAgentError(Exception):
@@ -83,3 +87,47 @@ def read_text(path: str, error: type[ProtAgentError] = SchemaError) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def check_unique(seen: dict, key, at: str, name: str) -> None:
+    """Record `key` (a `name`, such as "accession") as found `at` a position
+    ("on line 3"). A key recorded before raises SchemaError naming it and its
+    first position; the caller's message names the second."""
+    first = seen.setdefault(key, at)
+    if first != at:
+        raise SchemaError(f"duplicate {name} {key!r} (first {first})")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON decoder's object hook: a repeated key is a SchemaError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: dict = {}
+        for n, (key, _) in enumerate(pairs, start=1):
+            check_unique(seen, key, f"at key {n}", "key")
+    return obj
+
+
+def read_jsonl(path: str, what: str, parse) -> list:
+    """`parse(line_no, obj)` of each JSON object of a JSON-lines file, in
+    order; blank lines are skipped but counted. A line that is not JSON, not
+    an object or repeats a key within the object, and any ProtAgentError from
+    `parse`, raises SchemaError prefixed "{what} line N"."""
+    out = []
+    # One decoder per file: json.loads given a hook builds one per call.
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = decode(line)
+            if isinstance(obj, dict):
+                out.append(parse(line_no, obj))
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+            raise SchemaError(f"{what} line {line_no} is not valid JSON: {exc}") from exc
+        except ProtAgentError as exc:
+            raise SchemaError(f"{what} line {line_no}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{what} line {line_no} is not a JSON object")
+    return out

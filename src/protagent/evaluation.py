@@ -9,13 +9,12 @@ Cases with no extracted answer score 0 on both metrics.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .agent import SessionResult
-from .errors import AlignmentMismatchError, EmptyReferenceError, ProtAgentError, SchemaError, read_text
+from .errors import AlignmentMismatchError, EmptyReferenceError, SchemaError, check_unique, read_jsonl
 from .seq import Sequence, validate_sequence
 from .templates import COLD_START_TEMPLATE
 
@@ -116,42 +115,27 @@ def rougeL_recall(reference: str, prediction: str) -> float:
 def load_benchmark(path: str) -> list[QaCase]:
     """One JSON object per line: case_id, task, question, sequence, reference_answer.
 
-    Malformed JSON, a line that is not an object, a field that is missing or
-    not a string, a case_id that is not a safe file name (traces are written
-    to `traces/<case_id>.json`), a repeated case_id and a case that fails
-    its own checks (sequence id and residues, nonempty reference) all raise
+    Besides read_jsonl's checks, a field that is missing or not a string, a
+    case_id that is not a safe file name (traces are written to
+    `traces/<case_id>.json`), a repeated case_id and a case that fails its
+    own checks (sequence id and residues, nonempty reference) all raise
     SchemaError naming the 1-based line.
     """
-    cases = []
-    first_line: dict[str, int] = {}
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"benchmark line {line_no} is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SchemaError(f"benchmark line {line_no} is not a JSON object")
+    first_line: dict[str, str] = {}
+
+    def parse(line_no: int, obj: dict) -> QaCase:
         bad = [k for k in _CASE_FIELDS if not isinstance(obj.get(k), str)]
         if bad:
-            raise SchemaError(f"benchmark line {line_no}: field(s) {', '.join(bad)} missing or not strings")
+            raise SchemaError(f"field(s) {', '.join(bad)} missing or not strings")
         case_id = obj["case_id"]
         if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
-            raise SchemaError(f"benchmark line {line_no}: case_id {case_id!r} is not a safe file name")
-        if case_id in first_line:
-            raise SchemaError(
-                f"benchmark line {line_no}: duplicate case_id {case_id!r} (first on line {first_line[case_id]})"
-            )
-        first_line[case_id] = line_no
+            raise SchemaError(f"case_id {case_id!r} is not a safe file name")
+        check_unique(first_line, case_id, f"on line {line_no}", "case_id")
         fields = {k: obj[k] for k in _CASE_FIELDS}
-        try:
-            fields["sequence"] = validate_sequence(case_id, obj["sequence"])
-            cases.append(QaCase(**fields))
-        except ProtAgentError as exc:
-            raise SchemaError(f"benchmark line {line_no}: {exc}") from exc
-    return cases
+        fields["sequence"] = validate_sequence(case_id, obj["sequence"])
+        return QaCase(**fields)
+
+    return read_jsonl(path, "benchmark", parse)
 
 
 def evaluate_run(cases: list[QaCase], results: dict[str, SessionResult]) -> EvalReport:

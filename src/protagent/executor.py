@@ -269,44 +269,15 @@ def build_standard_registry(
         return topology.predict_topology(args["sequence"]).to_payload()
 
     registry = ToolRegistry()
-    registry.register(
-        ToolDescriptor(
-            name="seq_basic_props",
-            description="Basic physicochemical properties: length, hydrophobic runs, complexity",
-            parameters=dict(_SEQ_PARAMS),
-            handler=props_handler,
-        )
-    )
-    registry.register(
-        ToolDescriptor(
-            name="mmseqs2_besthit_uniprot",
-            description="Homology best hit against the annotated reference store",
-            parameters={**_SEQ_PARAMS, "min_seq_id": ParamSpec("number", "minimum sequence identity fraction")},
-            handler=homology_handler,
-        )
-    )
-    registry.register(
-        ToolDescriptor(
-            name="pfam_hmmscan",
-            description="Profile-HMM domain scan with ranked and selected hits",
-            parameters=dict(_SEQ_PARAMS),
-            handler=domains_handler,
-        )
-    )
-    registry.register(
-        ToolDescriptor(
-            name="tmbed_predict",
-            description="Residue-level transmembrane topology prediction",
-            parameters=dict(_SEQ_PARAMS),
-            handler=topology_handler,
-        )
-    )
-    registry.register(
-        ToolDescriptor(
-            name="python_eval",
-            description="Compute additional properties with Python (disabled by default)",
-            parameters={"code": ParamSpec("string", "Python expression to evaluate")},
-            handler=_not_supported,
-        )
-    )
+    for name, description, parameters, handler in (
+        ("seq_basic_props", "Basic physicochemical properties: length, hydrophobic runs, complexity",
+         _SEQ_PARAMS, props_handler),
+        ("mmseqs2_besthit_uniprot", "Homology best hit against the annotated reference store",
+         {**_SEQ_PARAMS, "min_seq_id": ParamSpec("number", "minimum sequence identity fraction")}, homology_handler),
+        ("pfam_hmmscan", "Profile-HMM domain scan with ranked and selected hits", _SEQ_PARAMS, domains_handler),
+        ("tmbed_predict", "Residue-level transmembrane topology prediction", _SEQ_PARAMS, topology_handler),
+        ("python_eval", "Compute additional properties with Python (disabled by default)",
+         {"code": ParamSpec("string", "Python expression to evaluate")}, _not_supported),
+    ):
+        registry.register(ToolDescriptor(name, description, dict(parameters), handler))
     return registry

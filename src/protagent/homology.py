@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from .blosum62 import BLOSUM62
-from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, read_text
+from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, check_unique, read_jsonl, read_text
 from .seq import Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
@@ -534,30 +534,17 @@ def make_evidence(hit: BestHit, annotations: dict[str, AnnotationRecord]) -> dic
 def load_annotations(path: str) -> dict[str, AnnotationRecord]:
     """Load a JSON-lines annotation store keyed by primary accession; a
     repeated accession is a SchemaError naming both lines."""
-    out: dict[str, AnnotationRecord] = {}
-    first_line: dict[str, int] = {}
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"annotation line {line_no} is not valid JSON: {exc}") from exc
-        try:
-            record = AnnotationRecord.from_json(obj)
-        except SchemaError as exc:
-            raise SchemaError(f"annotation line {line_no}: {exc}") from exc
+    first_line: dict[str, str] = {}
+
+    def parse(line_no: int, obj: dict) -> tuple[str, AnnotationRecord]:
+        record = AnnotationRecord.from_json(obj)
         accession = obj.get("accession", record.accessions[0])
         if not isinstance(accession, str):
-            raise SchemaError(f"annotation line {line_no}: accession must be a string, got {accession!r}")
-        if accession in first_line:
-            raise SchemaError(
-                f"annotation line {line_no}: duplicate accession {accession!r} (first on line {first_line[accession]})"
-            )
-        first_line[accession] = line_no
-        out[accession] = record
-    return out
+            raise SchemaError(f"accession must be a string, got {accession!r}")
+        check_unique(first_line, accession, f"on line {line_no}", "accession")
+        return accession, record
+
+    return dict(read_jsonl(path, "annotation", parse))
 
 
 def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
@@ -587,19 +574,17 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
     """
     try:
         obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise SchemaError(f"{path} is not a built reference store (no 'entries' list)")
     entries = []
-    first_entry: dict[str, int] = {}
+    first_entry: dict[str, str] = {}
     for n, e in enumerate(obj["entries"], start=1):
         try:
             if not (isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("accession", "sequence"))):
                 raise SchemaError("not an object with a string accession and sequence")
-            if e["accession"] in first_entry:
-                raise SchemaError(f"duplicate accession {e['accession']!r} (first at entry {first_entry[e['accession']]})")
-            first_entry[e["accession"]] = n
+            check_unique(first_entry, e["accession"], f"at entry {n}", "accession")
             entries.append(
                 ReferenceEntry(
                     accession=e["accession"],
@@ -621,12 +606,13 @@ def load_reference_store(fasta_path: str, annotations_path: str) -> list[Referen
     header_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith(">")]
     annotations = load_annotations(annotations_path)
     entries = []
-    first_line: dict[str, int] = {}
+    first_line: dict[str, str] = {}
     for rec, line_no in zip(records, header_lines):
         acc = rec.sequence.id
-        if acc in first_line:
-            raise SchemaError(f"FASTA line {line_no}: duplicate id {acc!r} (first on line {first_line[acc]})")
-        first_line[acc] = line_no
+        try:
+            check_unique(first_line, acc, f"on line {line_no}", "id")
+        except SchemaError as exc:
+            raise SchemaError(f"FASTA line {line_no}: {exc}") from exc
         if acc not in annotations:
             raise MissingAnnotationError(f"FASTA entry {acc!r} has no annotation record")
         entries.append(ReferenceEntry(accession=acc, sequence=rec.sequence, annotation=annotations[acc]))

@@ -75,6 +75,10 @@ def trace_with(*messages) -> dict:
     return {"session_id": "s", "created_at": "t", "paradigm": "direct", "messages": list(messages)}
 
 
+def message(**fields) -> dict:
+    return {"role": "assistant", "content": "x", "tool_calls": None, "tool_call_id": None, **fields}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -91,6 +95,19 @@ def trace_with(*messages) -> dict:
         pytest.param({**trace_with(), "session_id": 5}, id="session-id-number"),
         pytest.param({**trace_with(), "created_at": None}, id="created-at-null"),
         pytest.param({**trace_with(), "paradigm": ["direct"]}, id="paradigm-list"),
+        pytest.param(trace_with(message(role=7)), id="role-number"),
+        pytest.param(trace_with(message(role="robot")), id="role-unknown"),
+        pytest.param(trace_with(message(content=5)), id="content-number"),
+        pytest.param(trace_with(message(content=["x"])), id="content-list"),
+        pytest.param(trace_with(message(role="tool", tool_call_id=5)), id="tool-call-id-number"),
+        pytest.param(trace_with(message(tool_calls="seq_basic_props")), id="tool-calls-string"),
+        pytest.param(trace_with(message(tool_calls=[5])), id="tool-call-number"),
+        pytest.param(trace_with(message(tool_calls=[{"call_id": 1, "name": "x", "arguments": {}}])),
+                     id="call-id-number"),
+        pytest.param(trace_with(message(tool_calls=[{"call_id": "c", "name": None, "arguments": {}}])),
+                     id="name-null"),
+        pytest.param(trace_with(message(tool_calls=[{"call_id": "c", "name": "x", "arguments": "{}"}])),
+                     id="arguments-string"),
     ],
 )
 def test_load_trace_raises_only_schema_errors(tmp_path, text):

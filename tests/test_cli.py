@@ -264,6 +264,16 @@ def test_trace_show_non_trace_is_a_message(runner, tmp_path):
     assert "cannot read trace" in result.output and "is not a saved trace" in result.output
 
 
+def test_trace_show_mistyped_message_is_a_message(runner, tmp_path):
+    path = tmp_path / "trace.json"
+    messages = [{"role": "user", "content": "Q?"}, {"role": 7, "content": 5}]
+    path.write_text(json.dumps({"session_id": "s", "created_at": "t", "paradigm": "direct", "messages": messages}))
+    result = runner.invoke(main, ["trace", "show", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert "cannot read trace" in result.output and "role must be one of" in result.output
+
+
 def test_synth_prompts(runner, tmp_path):
     out = tmp_path / "prompts.jsonl"
     result = runner.invoke(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from protagent.config import build_config
+from protagent.config import build_config, load_config_file
 from protagent.errors import ConfigError
 
 
@@ -35,3 +35,10 @@ def test_out_of_range_value_in_config_file_is_config_error(tmp_path):
     path.write_text("script = s.jsonl\ntemperature = nan\n")
     with pytest.raises(ConfigError, match="temperature"):
         build_config(str(path)).validate()
+
+
+def test_repeated_config_key_names_both_lines(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("max_turns = 3\n# a comment\nscript = s.jsonl\nmax_turns = 9\n")
+    with pytest.raises(ConfigError, match=r"run.conf:4: duplicate config key 'max_turns' \(first on line 1\)"):
+        load_config_file(str(path))

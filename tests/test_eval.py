@@ -156,6 +156,14 @@ def test_load_benchmark_rejects_duplicate_case_id(tmp_path):
     assert "line 3" in message and "line 1" in message
 
 
+def test_load_benchmark_rejects_key_repeated_within_a_line(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    line = json.dumps(case_row("a"))[:-1] + ', "reference_answer": "wrong"}'
+    path.write_text(json.dumps(case_row("b")) + "\n" + line + "\n")
+    with pytest.raises(SchemaError, match=r"benchmark line 2: duplicate key 'reference_answer' \(first at key 5\)"):
+        load_benchmark(str(path))
+
+
 def test_load_benchmark_rejects_unsafe_case_ids(tmp_path):
     path = tmp_path / "bad.jsonl"
     for case_id in ("", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"):

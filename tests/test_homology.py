@@ -694,6 +694,25 @@ def test_mistyped_annotation_records_are_schema_errors(tmp_path, record):
         load_built_store(str(path))
 
 
+@pytest.mark.parametrize("line", ["[1]", "5", "null", '"P12345"'])
+def test_non_object_annotation_line_names_line(tmp_path, line):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
+    with pytest.raises(SchemaError, match="^annotation line 2 is not a JSON object$"):
+        load_annotations(str(path))
+
+
+def test_annotation_key_repeated_within_a_line_is_schema_error(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text('{"accessions": ["A1"], "protein_name": "a", "go": ["GO:1"], "go": []}\n')
+    with pytest.raises(SchemaError, match=r"annotation line 1: duplicate key 'go' \(first at key 3\)"):
+        load_annotations(str(path))
+    # a repeat inside a nested object counts too
+    path.write_text('{"accessions": ["A1"], "protein_name": "a", "x": {"k": 1, "k": 2}}\n')
+    with pytest.raises(SchemaError, match=r"annotation line 1: duplicate key 'k'"):
+        load_annotations(str(path))
+
+
 def test_load_annotations_rejects_non_string_accession(tmp_path):
     path = tmp_path / "ann.jsonl"
     path.write_text(json.dumps({**GOOD_RECORD, "accession": ["P12345"]}) + "\n")

@@ -1,0 +1,184 @@
+"""Every input reader either returns or raises a ProtAgentError, whatever
+JSON it is given. The inputs are mostly objects with the reader's own keys
+and well-typed values, about half of them with one fault (a mistyped,
+missing, repeated or foreign key), among blank, non-object and non-JSON
+lines."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from protagent.agent import load_trace, render_trace
+from protagent.backends import ScriptedBackend
+from protagent.errors import ProtAgentError, SchemaError
+from protagent.evaluation import load_benchmark
+from protagent.homology import load_annotations, load_built_store
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+short_text = st.text(max_size=6)
+text_list = st.lists(short_text, max_size=2)
+accession = st.text("ABC123", min_size=1, max_size=3)
+arguments = st.dictionaries(short_text, st.integers() | short_text, max_size=2)
+
+FAULTS = ["none"] * 6 + ["mistype"] * 4 + ["drop", "repeat", "foreign"]
+# A value of each JSON type, none of them empty, or any JSON value.
+mistyped = st.sampled_from([None, True, 7, 2.5, "x", ["x"], {"x": 1}]) | json_value
+
+
+@st.composite
+def pairs(draw, fields: dict) -> list:
+    """(key, value) pairs of one object: every field well typed, then in
+    about half the objects one fault: a field mistyped or left out, a key
+    repeated, or a foreign key added."""
+    out = [(key, draw(good)) for key, good in fields.items()]
+    fault, i = draw(st.sampled_from(FAULTS)), draw(st.integers(0, len(out) - 1))
+    if fault == "mistype":
+        out[i] = (out[i][0], draw(mistyped))
+    elif fault == "drop":
+        del out[i]
+    elif fault in ("repeat", "foreign"):
+        out.append((out[i][0] if fault == "repeat" else draw(st.text(max_size=3)), draw(json_value)))
+    return draw(st.permutations(out))
+
+
+def obj(fields: dict):
+    return pairs(fields).map(dict)
+
+
+@st.composite
+def mostly(draw, common, rare):
+    """Mostly `common`, else `rare`."""
+    return draw(rare if draw(st.integers(0, 4)) == 4 else common)
+
+
+def object_text(kv: list) -> str:
+    """An object's JSON text with every pair kept, repeats included."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in kv) + "}"
+
+
+def jsonl(fields: dict):
+    """The text of a JSON-lines file: mostly object lines, else a blank,
+    non-object or non-JSON line."""
+    other = st.sampled_from(["", "  ", "{", "nope"]) | json_value.map(json.dumps)
+    return st.lists(mostly(pairs(fields).map(object_text), other), max_size=4).map("\n".join)
+
+
+def json_file(document):
+    """The text of a JSON file: mostly `document`, else any JSON value."""
+    return mostly(document, json_value).map(json.dumps)
+
+
+ANNOTATION = {
+    "accessions": st.lists(accession, min_size=1, max_size=2),
+    "protein_name": short_text,
+    "function": text_list,
+    "catalytic_activity": text_list,
+    "ec": text_list,
+    "cofactor": text_list,
+    "subcellular_location": text_list,
+    "go": text_list,
+}
+CASE = {
+    "case_id": mostly(st.text("abcdef", min_size=1, max_size=3), st.sampled_from(["..", "a/b", "a b"])),
+    "task": short_text,
+    "question": short_text,
+    "sequence": st.sampled_from(["MLKV", "ml kv", "WWKV", "MLBV"]),
+    "reference_answer": st.text(min_size=1, max_size=6),
+}
+SCRIPT_CALL = {"name": st.sampled_from(["seq_basic_props", "x"]), "arguments": arguments}
+SCRIPT_TURN = {
+    "content": mostly(short_text, st.none()),
+    "tool_calls": mostly(st.lists(obj(SCRIPT_CALL), max_size=2), st.none()),
+}
+STORE_ENTRY = {
+    "accession": accession,
+    "sequence": st.sampled_from(["MLKV", "ml kv", "WWKV", "MLBV"]),
+    "annotation": obj(ANNOTATION),
+}
+TRACE_CALL = {"call_id": short_text, "name": short_text, "arguments": arguments}
+MESSAGE = {
+    "role": st.sampled_from(["system", "user", "assistant", "tool"]),
+    "content": mostly(short_text, st.none()),
+    "tool_calls": mostly(st.lists(obj(TRACE_CALL), max_size=2), st.none()),
+    "tool_call_id": mostly(st.text(min_size=1, max_size=4), st.none()),
+}
+TRACE = {
+    "session_id": short_text,
+    "created_at": short_text,
+    "paradigm": st.sampled_from(["direct", "rag", "tool_agent"]),
+    "messages": st.lists(obj(MESSAGE), max_size=3),
+    "audit": st.lists(arguments, max_size=2),
+}
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("readers") / "input")
+
+
+def load(reader, path: str, text: str):
+    """What `reader` returns for a file holding `text`, or None for a
+    ProtAgentError; any other exception fails the test."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        return reader(path)
+    except ProtAgentError:
+        return None
+
+
+@PROPERTY
+@given(jsonl(SCRIPT_TURN))
+def test_from_jsonl_returns_or_raises_typed(input_path, text):
+    load(ScriptedBackend.from_jsonl, input_path, text)
+
+
+@PROPERTY
+@given(jsonl(CASE))
+def test_load_benchmark_returns_or_raises_typed(input_path, text):
+    load(load_benchmark, input_path, text)
+
+
+@PROPERTY
+@given(jsonl(ANNOTATION | {"accession": accession}))
+def test_load_annotations_keeps_every_given_field(input_path, text):
+    records = load(load_annotations, input_path, text)
+    if records is None:
+        return
+    for line in filter(str.strip, text.split("\n")):
+        given_fields = json.loads(line)
+        payload = records[given_fields.get("accession", given_fields["accessions"][0])].to_payload()
+        assert {k: given_fields[k] for k in payload if k in given_fields} == {
+            k: v for k, v in payload.items() if k in given_fields
+        }
+
+
+@PROPERTY
+@given(json_file(st.fixed_dictionaries({"entries": st.lists(obj(STORE_ENTRY), max_size=3)})))
+def test_load_built_store_returns_or_raises_typed(input_path, text):
+    load(load_built_store, input_path, text)
+
+
+@PROPERTY
+@given(json_file(obj(TRACE)))
+def test_load_trace_renders_or_raises_typed(input_path, text):
+    trace = load(load_trace, input_path, text)
+    if trace is not None:
+        assert isinstance(render_trace(trace), str)
+
+
+
+@pytest.mark.parametrize("reader", [load_benchmark, load_annotations, load_built_store, load_trace])
+def test_json_nested_too_deep_is_schema_error(tmp_path, reader):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(SchemaError, match="recursion"):
+        reader(str(path))
