@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from .backends import ChatMessage, DecodingParams, LlmBackend
-from .errors import BackendError, SchemaError, read_text
+from .errors import BackendError, SchemaError, check_utf8, read_text
 from .executor import SessionContext, SessionLimits, ToolCall, ToolRegistry, invoke
 from .seq import Sequence
 from .templates import BASELINE_TEMPLATE, RAG_TEMPLATE, TOOL_AGENT_TEMPLATE, sequence_block
@@ -138,12 +138,17 @@ def trace_from_json(obj: dict) -> ConversationTrace:
 
 def load_trace(path: str) -> ConversationTrace:
     """Read a trace written by save_trace; SchemaError for any file that is
-    not one (not UTF-8, invalid JSON, a missing or mistyped field)."""
+    not one (not UTF-8, invalid JSON, a lone surrogate, a missing or mistyped
+    field)."""
     text = read_text(path)
     try:
-        return trace_from_json(json.loads(text))
+        obj = json.loads(text)
+        check_utf8(text, obj)
+        return trace_from_json(obj)
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not a saved trace: {type(exc).__name__}: {exc}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path} is not a saved trace: {exc}") from exc
 
 
 def save_trace(trace: ConversationTrace, path: str) -> None:

@@ -173,9 +173,11 @@ class HttpChatBackend:
                 raw = function.get("arguments")
                 if raw is not None and not isinstance(raw, str):
                     raise BackendError(f"tool call arguments must be a JSON string, got {raw!r}")
+                # Arguments that are not JSON, or nest too deep to decode,
+                # reach the executor as malformed rather than end the session.
                 try:
                     arguments = json.loads(function["arguments"] or "{}")
-                except (KeyError, json.JSONDecodeError):
+                except (KeyError, json.JSONDecodeError, RecursionError):
                     arguments = {"__malformed__": raw}
                 parsed.append(ToolCall(call_id=call_id, name=name, arguments=arguments))
             calls = tuple(parsed)

@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the readers of input
 files that raise them: `read_text` for any UTF-8 file, `read_jsonl` for the
-JSON-lines files (one object per line), and `check_unique`, the one check
-for a key that an input repeats."""
+JSON-lines files (one object per line), `check_unique`, the one check
+for a key that an input repeats, and `check_utf8`, which refuses decoded JSON
+holding a string that UTF-8 cannot encode."""
 
 import json
+import re
 
 
 class ProtAgentError(Exception):
@@ -108,11 +110,39 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# A JSON escape of a UTF-16 surrogate, \uD800 to \uDFFF; an escaped backslash
+# before "u" matches too, which costs only the exact check below.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def check_utf8(text: str, obj) -> None:
+    """SchemaError when a string of obj, decoded from the JSON text, holds a
+    lone surrogate: it loads, but no UTF-8 output (a trace, a report, the
+    terminal) can write it. Only a surrogate escape in text can make one (an
+    escaped pair decodes to one character), so other text is not walked."""
+    if not _SURROGATE_ESCAPE.search(text):
+        return
+    stack = [obj]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SchemaError(f"lone surrogate {exc.object[exc.start]!r} in a string; UTF-8 cannot encode it") from None
+        elif isinstance(value, dict):
+            stack += value
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+
+
 def read_jsonl(path: str, what: str, parse) -> list:
     """`parse(line_no, obj)` of each JSON object of a JSON-lines file, in
     order; blank lines are skipped but counted. A line that is not JSON, not
-    an object or repeats a key within the object, and any ProtAgentError from
-    `parse`, raises SchemaError prefixed "{what} line N"."""
+    an object, repeats a key within the object or holds a lone surrogate
+    (check_utf8), and any ProtAgentError from `parse`, raises SchemaError
+    prefixed "{what} line N"."""
     out = []
     # One decoder per file: json.loads given a hook builds one per call.
     decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
@@ -123,6 +153,7 @@ def read_jsonl(path: str, what: str, parse) -> list:
         try:
             obj = decode(line)
             if isinstance(obj, dict):
+                check_utf8(line, obj)
                 out.append(parse(line_no, obj))
         except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise SchemaError(f"{what} line {line_no} is not valid JSON: {exc}") from exc

@@ -28,13 +28,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from .blosum62 import BLOSUM62
-from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, check_unique, read_jsonl, read_text
+from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, check_unique, check_utf8, read_jsonl, read_text
 from .seq import Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
@@ -57,7 +59,9 @@ _SCORE_BIAS = 4  # minus BLOSUM62's smallest score, so a packed score is >= 0
 # 20-bit offset. Sorted, a k-mer's sites form one run in (ordinal, offset)
 # order.
 KMER_ALPHABET = "ACDEFGHIKLMNPQRSTVWXY"
-_KMER_DIGIT = {c: d for d, c in enumerate(KMER_ALPHABET)}
+_KMER_DIGITS = bytes.maketrans(KMER_ALPHABET.encode("ascii"), bytes(range(len(KMER_ALPHABET))))
+_CODE_LIMIT = len(KMER_ALPHABET) ** DEFAULT_K  # every code is below it, and below 2**22
+_REGION_KEYS = 128  # build_index sorts regions of about this many keys
 _OFFSET_BITS = 20
 _CODE_SHIFT = 42
 _OFFSET_MASK = (1 << _OFFSET_BITS) - 1
@@ -165,20 +169,38 @@ class ReferenceIndex:
         return sum(e.sequence.length for e in self.entries)
 
 
-def _kmer_codes(residues: str) -> list[int]:
+def _code_fields(residues: str, width: int) -> int:
+    """One int whose field i, `width` bytes wide from the lowest, holds the
+    base-21 code of the 5-mer of residues starting at offset i (digits in
+    KMER_ALPHABET order); the fields from len(residues) - 4 up hold partial
+    codes. Each residue becomes a digit at the bottom of its own field, and
+    five shifted multiply-adds sum the digits of every 5-mer at once; a code
+    is below 2**22, so no field carries into the next."""
+    digits = bytearray(width * len(residues))
+    digits[::width] = residues.encode("ascii").translate(_KMER_DIGITS)
+    d = int.from_bytes(digits, "little")
+    bits = 8 * width
+    return d * 21**4 + (d >> bits) * 21**3 + (d >> 2 * bits) * 21**2 + (d >> 3 * bits) * 21 + (d >> 4 * bits)
+
+
+def _field_array(typecode: str, value: int, count: int) -> array:
+    """Fields 0 to count - 1 of value, lowest first, as an array of
+    `typecode` items of the same width."""
+    out = array(typecode)
+    size = out.itemsize * count
+    out.frombytes((value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _kmer_codes(residues: str) -> array:
     """Base-21 code of every 5-mer of residues (digits in KMER_ALPHABET
     order), by start offset; empty when residues is shorter than 5."""
-    digits = [_KMER_DIGIT[c] for c in residues]
-    lead_weight = 21 ** (DEFAULT_K - 1)
-    code = 0
-    for d in digits[: DEFAULT_K - 1]:
-        code = code * 21 + d
-    codes = []
-    for lead, d in zip(digits, digits[DEFAULT_K - 1 :]):
-        code = code * 21 + d
-        codes.append(code)
-        code -= lead * lead_weight
-    return codes
+    count = len(residues) - DEFAULT_K + 1
+    if count <= 0:
+        return array("I")
+    return _field_array("I", _code_fields(residues, 4), count)
 
 
 def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
@@ -187,6 +209,15 @@ def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
     Entries shorter than 5 residues contribute zero k-mers (warning, not
     fatal). A key holds at most MAX_ENTRIES entries and at most
     MAX_ENTRY_RESIDUES residues per entry; beyond them nothing is built.
+
+    Two passes over the entries fill the one final array, so the build holds
+    about one key array at its peak. The codes are cut into regions by their
+    top bits, about 128 keys to a region. The first pass counts the keys of
+    each region, which fixes where each region starts. The second makes
+    each entry's keys at once, as the fields of one int, and writes each at
+    the next free slot of its region, so a region's keys arrive in (ordinal,
+    offset) order. Sorting each region that holds keys, in place, then
+    sorts the array.
     """
     if not entries:
         raise EmptyIndexError("cannot build an index over zero entries")
@@ -198,24 +229,58 @@ def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
                 f"entry {entry.accession} has {entry.sequence.length} residues; "
                 f"the index holds at most {MAX_ENTRY_RESIDUES}"
             )
-    # One bucket per leading residue, each sorted on its own into an array of
-    # the final size: no list of Python ints and no sort buffer ever spans
-    # the whole store.
-    lead_weight = 21 ** (DEFAULT_K - 1)
-    buckets = [array("Q") for _ in KMER_ALPHABET]
-    for ordinal, entry in enumerate(entries):
-        res = entry.sequence.residues
-        if len(res) < DEFAULT_K:
+    total = longest = 0
+    for entry in entries:
+        length = entry.sequence.length
+        if length < DEFAULT_K:
             log.warning("entry %s shorter than k=%d; indexed with zero k-mers", entry.accession, DEFAULT_K)
             continue
-        for site, code in enumerate(_kmer_codes(res), ordinal << _OFFSET_BITS):
-            buckets[code // lead_weight].append(code << _CODE_SHIFT | site)
-    keys = array("Q", [0]) * sum(map(len, buckets))
+        total += length - DEFAULT_K + 1
+        longest = max(longest, length)
+    # A region is the codes sharing code >> shift.
+    shift = max(0, (_CODE_LIMIT // max(1, total // _REGION_KEYS)).bit_length() - 1)
+    last_region = (_CODE_LIMIT - 1) >> shift
+    # Pass 1: keys per region, from each entry's codes shifted down to their
+    # region in every 4-byte field at once.
+    region_bits = (1 << last_region.bit_length()) - 1
+    region_mask = int.from_bytes(region_bits.to_bytes(4, "little") * longest, "little")
+    counts = Counter()
+    for entry in entries:
+        res = entry.sequence.residues
+        count = len(res) - DEFAULT_K + 1
+        if count > 0:
+            counts.update(_field_array("I", _code_fields(res, 4) >> shift & region_mask, count))
+    regions = sorted(counts)
+    free = [0] * (last_region + 1)  # the next free slot of each region
+    bounds = []
     end = 0
-    for lead, bucket in enumerate(buckets):
-        buckets[lead] = None  # freed once copied
-        start, end = end, end + len(bucket)
-        keys[start:end] = array("Q", sorted(bucket))
+    for region in regions:
+        free[region] = end
+        end += counts[region]
+        bounds.append(end)
+    del counts
+    # Pass 2: each entry's keys are code << 42 plus its sites, ordinal << 20
+    # plus the offset, made from one-per-field and 0, 1, 2, ... ints.
+    ones = int.from_bytes((b"\1" + bytes(7)) * longest, "little")
+    offsets = int.from_bytes(b"".join(i.to_bytes(8, "little") for i in range(longest)), "little")
+    keys = array("Q", [0]) * total
+    region_shift = _CODE_SHIFT + shift
+    for ordinal, entry in enumerate(entries):
+        res = entry.sequence.residues
+        count = len(res) - DEFAULT_K + 1
+        if count <= 0:
+            continue
+        fields = (1 << 64 * count) - 1
+        sites = (ones & fields) * (ordinal << _OFFSET_BITS) + (offsets & fields)
+        for key in _field_array("Q", (_code_fields(res, 8) << _CODE_SHIFT) + sites, count):
+            region = key >> region_shift
+            at = free[region]
+            keys[at] = key
+            free[region] = at + 1
+    start = 0
+    for end in bounds:
+        keys[start:end] = array("Q", sorted(keys[start:end]))
+        start = end
     return ReferenceIndex(entries=entries, keys=keys)
 
 
@@ -567,15 +632,20 @@ def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
 def load_built_store(path: str) -> list[ReferenceEntry]:
     """Load a store written by save_built_store.
 
-    Invalid JSON, a file without an 'entries' list, an entry that is not an
-    object with string accession and sequence and a valid annotation, and a
-    repeated accession raise SchemaError; an entry's error names its 1-based
-    position.
+    Invalid JSON, a string holding a lone surrogate, a file without an
+    'entries' list, an entry that is not an object with string accession and
+    sequence and a valid annotation, and a repeated accession raise
+    SchemaError; an entry's error names its 1-based position.
     """
+    text = read_text(path)
     try:
-        obj = json.loads(read_text(path))
+        obj = json.loads(text)
+        check_utf8(text, obj)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    del text  # so that it is not held while the entries are made
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise SchemaError(f"{path} is not a built reference store (no 'entries' list)")
     entries = []

@@ -13,6 +13,7 @@ from protagent.domains import RESIDUE_ORDER, SCALE, ProfileHmm
 from protagent.errors import EmptyIndexError
 from protagent.homology import (
     DEFAULT_MIN_SEQ_ID,
+    KMER_ALPHABET,
     Alignment,
     BestHit,
     ReferenceIndex,
@@ -320,6 +321,33 @@ def scalar_smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
 K = 5
 HIT_THRESHOLD = 2
 DIAGONAL_BAND = 16
+
+
+def rolling_kmer_codes(residues: str) -> list[int]:
+    """Base-21 code of every 5-mer of residues (digits in KMER_ALPHABET
+    order), by start offset, one residue at a time: take in the next digit,
+    drop the leading one."""
+    digits = [KMER_ALPHABET.index(c) for c in residues]
+    lead_weight = 21 ** (K - 1)
+    code = 0
+    for d in digits[: K - 1]:
+        code = code * 21 + d
+    codes = []
+    for lead, d in zip(digits, digits[K - 1 :]):
+        code = code * 21 + d
+        codes.append(code)
+        code -= lead * lead_weight
+    return codes
+
+
+def reference_index_keys(entries) -> list[int]:
+    """Every code << 42 | ordinal << 20 | offset key of a store, by one
+    plain sort."""
+    return sorted(
+        code << 42 | ordinal << 20 | offset
+        for ordinal, entry in enumerate(entries)
+        for offset, code in enumerate(rolling_kmer_codes(entry.sequence.residues))
+    )
 
 
 def _reference_postings(entries) -> dict[str, list[tuple[int, int]]]:

@@ -398,6 +398,17 @@ def test_http_backend_parses_tool_calls(monkeypatch):
     assert [tc.arguments for tc in turn.tool_calls] == [{"sequence_ref": "query"}, {"__malformed__": "{not json"}, {}]
 
 
+def test_http_backend_arguments_nested_too_deep_are_malformed(monkeypatch, registry, mscl_seq):
+    deep = "[" * 100_000
+    backend = http_backend(monkeypatch, {"content": None, "tool_calls": [http_tool_call(deep)]})
+    turn = backend.complete([], None, DecodingParams())
+    assert [tc.arguments for tc in turn.tool_calls] == [{"__malformed__": deep}]
+    result = run_tool_agent(backend, registry, "Q?", mscl_seq)
+    assert result.stop_reason != "backend_error"
+    first_tool = next(m for m in result.trace.messages if m.role == "tool")
+    assert json.loads(first_tool.content)["error_kind"] == "invalid_arguments"
+
+
 @pytest.mark.parametrize(
     "message",
     [

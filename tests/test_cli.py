@@ -164,6 +164,21 @@ def test_bench_rejects_duplicate_case_ids(runner, tmp_path):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def test_bench_rejects_lone_surrogate_before_any_session(runner, tmp_path):
+    with open(data_path("cases.jsonl"), encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    rows[1]["question"] = "What \ud800?"
+    cases = tmp_path / "cases.jsonl"
+    cases.write_text("".join(json.dumps(row) + "\n" for row in rows))  # the surrogate as its escape
+    result = runner.invoke(main, bench_args(cases, data_path("replay.jsonl"), tmp_path / "run"))
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert "benchmark line 2: lone surrogate '\\ud800'" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "run" / "traces").exists()
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_bench_rejects_malformed_script(runner, tmp_path):
     script = tmp_path / "script.jsonl"
     script.write_text('{"content": \n')
@@ -272,6 +287,16 @@ def test_trace_show_mistyped_message_is_a_message(runner, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a message, not a traceback
     assert "cannot read trace" in result.output and "role must be one of" in result.output
+
+
+def test_trace_show_lone_surrogate_is_a_message(runner, tmp_path):
+    path = tmp_path / "trace.json"
+    messages = [{"role": "user", "content": "What \ud800?"}]
+    path.write_text(json.dumps({"session_id": "s", "created_at": "t", "paradigm": "direct", "messages": messages}))
+    result = runner.invoke(main, ["trace", "show", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert "cannot read trace" in result.output and "lone surrogate" in result.output
 
 
 def test_synth_prompts(runner, tmp_path):

@@ -1,5 +1,8 @@
+import gc
 import json
+import logging
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,10 @@ from oracles import (
     gotoh_local_score,
     gotoh_row_maxima,
     reference_candidate_ordinals,
+    reference_index_keys,
     reference_search_best_hit,
     reference_smith_waterman,
+    rolling_kmer_codes,
     scalar_smith_waterman,
 )
 from protagent import homology
@@ -24,6 +29,7 @@ from protagent.homology import (
     AnnotationRecord,
     ReferenceEntry,
     _candidate_ordinals,
+    _kmer_codes,
     build_index,
     e_value,
     bit_score,
@@ -569,6 +575,55 @@ def random_store(rng: random.Random, alphabet: str, n: int) -> list[ReferenceEnt
             res = res[:cut] + rng.choice("LAXY") * rng.randint(5, 30) + res[cut:]
         entries.append(entry(f"R{i}", res))
     return entries
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 6, 1000, 1001, 4099])
+def test_kmer_codes_equal_rolling_reference(length):
+    rng = random.Random(length)
+    alphabet = CANONICAL_RESIDUES + "XXXX"
+    for _ in range(30 if length <= 6 else 3):
+        res = "".join(rng.choice(alphabet) for _ in range(length))
+        assert list(_kmer_codes(res)) == rolling_kmer_codes(res)
+    for c in "AXY":  # code 0, a run of X, the top code
+        assert list(_kmer_codes(c * length)) == rolling_kmer_codes(c * length)
+
+
+# Regions of one key or so each; the default; a single region.
+@pytest.mark.parametrize("region_keys", [1, 128, 10**9], ids=["tiny-regions", "default-regions", "one-region"])
+def test_build_index_keys_equal_sorted_reference(monkeypatch, caplog, region_keys):
+    monkeypatch.setattr(homology, "_REGION_KEYS", region_keys)
+    rng = random.Random(region_keys)
+    # ACWY leaves most regions empty.
+    for alphabet in (CANONICAL_RESIDUES + "X", "ACWY"):
+        entries = random_store(rng, alphabet, 60)
+        entries.insert(rng.randint(0, 60), entry("POLYA", "A" * 500))  # 496 keys of code 0
+        short = [e.accession for e in entries if e.sequence.length < 5]
+        assert short
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            keys = build_index(entries).keys
+        assert keys.typecode == "Q"
+        assert list(keys) == reference_index_keys(entries)
+        assert all(f"entry {a} shorter than k=5" in caplog.text for a in short)
+    assert len(build_index([entry("S1", "MLK"), entry("S2", "W")]).keys) == 0
+
+
+def test_build_index_peak_memory_is_about_one_key_array():
+    # The traced peak of the build over the bytes of the key array it
+    # returns. This build reads 1.17; one that held its keys twice (in
+    # buckets, then in the array) read 2.35, and one that kept every code
+    # as well would add 0.5. Short entries keep the traced build fast.
+    rng = random.Random(1000)
+    entries = [entry(f"M{i}", random_residues(rng, CANONICAL_RESIDUES, 20, 40)) for i in range(1000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        keys = build_index(entries).keys
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / (keys.itemsize * len(keys))
+    assert ratio < 1.5, ratio
 
 
 @pytest.mark.parametrize("alphabet", [CANONICAL_RESIDUES + "X", "LKDEX", "ACWY"], ids=["21-letters", "LKDEX", "ACWY"])

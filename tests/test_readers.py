@@ -182,3 +182,28 @@ def test_json_nested_too_deep_is_schema_error(tmp_path, reader):
     path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
     with pytest.raises(SchemaError, match="recursion"):
         reader(str(path))
+
+
+@pytest.mark.parametrize("reader", [ScriptedBackend.from_jsonl, load_benchmark, load_annotations, load_built_store,
+                                    load_trace])
+@pytest.mark.parametrize(
+    "value",
+    [{"question": "What \ud800?"}, {"\udc00": 1}, {"a": [["ok", "\udfff"]]}],
+    ids=["in-a-value", "in-a-key", "nested"],
+)
+def test_lone_surrogate_is_schema_error(tmp_path, reader, value):
+    # json.dumps writes the surrogate as its escape, which decodes back to it.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value) + "\n")
+    with pytest.raises(SchemaError, match="lone surrogate"):
+        reader(str(path))
+
+
+def test_surrogate_pair_and_escaped_backslash_still_load(tmp_path):
+    path = tmp_path / "annotations.jsonl"
+    names = ["smile 😀", "\\ud800 is text"]  # an escaped pair; a backslash, then text
+    path.write_text("".join(json.dumps({"accessions": [f"A{i}"], "protein_name": n}) + "\n"
+                            for i, n in enumerate(names)))
+    assert "\\ud83d\\ude00" in path.read_text() and "\\\\ud800" in path.read_text()
+    records = load_annotations(str(path))
+    assert [records[f"A{i}"].protein_name for i in range(2)] == ["smile \U0001F600", "\\ud800 is text"]
