@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable
 
-from .backends import ChatMessage, DecodingParams, LlmBackend
-from .errors import BackendError, SchemaError, check_utf8, read_text
+from .backends import ChatMessage, DecodingParams, LlmBackend, calls_from_json
+from .errors import BackendError, SchemaError, read_json
 from .executor import SessionContext, SessionLimits, ToolCall, ToolRegistry, invoke
 from .seq import Sequence
 from .templates import BASELINE_TEMPLATE, RAG_TEMPLATE, TOOL_AGENT_TEMPLATE, sequence_block
@@ -87,33 +87,13 @@ def _message_to_json(m: ChatMessage) -> dict:
     }
 
 
-_ROLES = ("system", "user", "assistant", "tool")
-
-
 def _message_from_json(obj: dict) -> ChatMessage:
-    """TypeError unless the role is known, content and tool_call_id are
-    strings or null, and tool_calls is null or a list of objects with string
-    call_id and name and object arguments."""
-    if obj["role"] not in _ROLES:
-        raise TypeError(f"role must be one of {', '.join(_ROLES)}, got {obj['role']!r}")
-    for key in ("content", "tool_call_id"):
-        if not isinstance(obj.get(key), (str, type(None))):
-            raise TypeError(f"{key} must be a string or null, got {obj[key]!r}")
-    calls = obj.get("tool_calls")
-    if not (calls is None or isinstance(calls, list) and all(
-        isinstance(tc, dict) and all(isinstance(tc.get(k), str) for k in ("call_id", "name"))
-        and isinstance(tc.get("arguments"), dict)
-        for tc in calls
-    )):
-        raise TypeError(f"tool_calls must be null or a list of call objects, got {calls!r}")
     return ChatMessage(
         role=obj["role"],
         content=obj.get("content"),
-        tool_calls=tuple(
-            ToolCall(call_id=tc["call_id"], name=tc["name"], arguments=tc["arguments"]) for tc in calls
-        )
-        if calls
-        else None,
+        tool_calls=calls_from_json(
+            obj.get("tool_calls"), lambda i, tc: ToolCall(tc["call_id"], tc["name"], tc["arguments"])
+        ),
         tool_call_id=obj.get("tool_call_id"),
     )
 
@@ -138,14 +118,11 @@ def trace_from_json(obj: dict) -> ConversationTrace:
 
 def load_trace(path: str) -> ConversationTrace:
     """Read a trace written by save_trace; SchemaError for any file that is
-    not one (not UTF-8, invalid JSON, a lone surrogate, a missing or mistyped
-    field)."""
-    text = read_text(path)
+    not one (one that read_json refuses, a missing or mistyped field, a
+    message that breaks ChatMessage's or ToolCall's rules)."""
     try:
-        obj = json.loads(text)
-        check_utf8(text, obj)
-        return trace_from_json(obj)
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        return trace_from_json(read_json(path))
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path} is not a saved trace: {type(exc).__name__}: {exc}") from exc
     except SchemaError as exc:
         raise SchemaError(f"{path} is not a saved trace: {exc}") from exc

@@ -15,7 +15,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import BackendError, ConfigError, SchemaError, read_jsonl
+from .errors import BackendError, ConfigError, SchemaError, check_utf8, read_jsonl
 from .executor import ToolCall
 
 REQUEST_TIMEOUT_S = 120.0
@@ -27,18 +27,35 @@ class DecodingParams:
     max_tokens: int = 4096
 
 
+ROLES = ("system", "user", "assistant", "tool")
+
+
 @dataclass(frozen=True)
 class ChatMessage:
-    role: str  # system | user | assistant | tool
+    """One message of a conversation; every reader (script, remote reply,
+    trace) builds one, so these are the message rules. SchemaError unless the
+    role is in ROLES, content and tool_call_id are strings or null, tool_calls
+    is null or a nonempty tuple of ToolCall, a tool message has a
+    tool_call_id and an assistant message has content or calls."""
+
+    role: str
     content: str | None = None
     tool_calls: tuple[ToolCall, ...] | None = None
     tool_call_id: str | None = None
 
     def __post_init__(self):
-        if self.role == "tool" and not self.tool_call_id:
-            raise ValueError("tool messages must carry tool_call_id")
-        if self.role == "assistant" and self.content is None and not self.tool_calls:
-            raise ValueError("assistant messages must carry content or tool_calls")
+        if self.role not in ROLES:
+            raise SchemaError(f"role must be one of {', '.join(ROLES)}, got {self.role!r}")
+        for key in ("content", "tool_call_id"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise SchemaError(f"{key} must be a string or null, got {getattr(self, key)!r}")
+        calls = self.tool_calls
+        if calls is not None and not (isinstance(calls, tuple) and calls and all(isinstance(c, ToolCall) for c in calls)):
+            raise SchemaError(f"tool_calls must be null or a nonempty tuple of ToolCall, got {calls!r}")
+        if self.role == "tool" and self.tool_call_id is None:
+            raise SchemaError("a tool message needs a tool_call_id")
+        if self.role == "assistant" and self.content is None and calls is None:
+            raise SchemaError("null content needs tool calls")
 
     def to_wire(self) -> dict:
         msg: dict = {"role": self.role, "content": self.content}
@@ -75,10 +92,9 @@ class ScriptedBackend:
         """Load canned turns: one JSON object per line, keyed by turn order.
 
         Each line: {"content": str | null, "tool_calls": [{"name", "arguments"}]}.
-        Besides read_jsonl's checks, content that is neither a string nor
-        null, tool calls that are neither a list nor null, null content
-        without tool calls, or a tool call without a string name raises
-        SchemaError naming the 1-based line. The calls on line N are
+        Besides read_jsonl's checks, a line that breaks ChatMessage's or
+        ToolCall's rules, or a tool call that is not an object with a name,
+        raises SchemaError naming the 1-based line. The calls on line N are
         `call_{N-1}_{i}`, so blank lines count.
         """
         return cls(turns=read_jsonl(path, "script", _scripted_turn))
@@ -91,24 +107,44 @@ class ScriptedBackend:
         return turn
 
 
-def _scripted_turn(line_no: int, obj: dict) -> ChatMessage:
-    content = obj.get("content")
-    if not isinstance(content, (str, type(None))):
-        raise SchemaError("content must be a string or null")
-    tool_calls = obj.get("tool_calls")
-    if tool_calls is None:
-        tool_calls = []
-    elif not isinstance(tool_calls, list):
+def calls_from_json(calls, make_call) -> tuple[ToolCall, ...] | None:
+    """ChatMessage.tool_calls from a JSON list or null, each call made by
+    `make_call(i, call)`; a value of another type is a SchemaError."""
+    if calls is None:
+        return None
+    if not isinstance(calls, list):
         raise SchemaError("tool_calls must be a list or null")
-    if content is None and not tool_calls:
-        raise SchemaError("null content needs tool calls")
-    if not all(isinstance(tc, dict) and isinstance(tc.get("name"), str) for tc in tool_calls):
-        raise SchemaError("every tool call needs a string name")
-    calls = tuple(
-        ToolCall(call_id=f"call_{line_no - 1}_{i}", name=tc["name"], arguments=tc.get("arguments", {}))
-        for i, tc in enumerate(tool_calls)
-    ) or None
-    return ChatMessage(role="assistant", content=content, tool_calls=calls)
+    return tuple(make_call(i, tc) for i, tc in enumerate(calls)) or None
+
+
+def _scripted_turn(line_no: int, obj: dict) -> ChatMessage:
+    try:
+        return ChatMessage(
+            role="assistant",
+            content=obj.get("content"),
+            tool_calls=calls_from_json(
+                obj.get("tool_calls"),
+                lambda i, tc: ToolCall(f"call_{line_no - 1}_{i}", tc["name"], tc.get("arguments", {})),
+            ),
+        )
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"every tool call must be an object with a name ({type(exc).__name__}: {exc})") from exc
+
+
+def _wire_call(i: int, tc: dict) -> ToolCall:
+    """A wire reply's tool call. `function.arguments` is a JSON string (null
+    or empty for none); one that is not JSON, nests too deep or holds a lone
+    surrogate becomes {"__malformed__": <the string>} for the executor."""
+    function = tc["function"]
+    name, raw = function["name"], function.get("arguments")
+    if not isinstance(raw, (str, type(None))):
+        raise SchemaError(f"tool call arguments must be a JSON string, got {raw!r}")
+    try:
+        arguments = json.loads(raw or "{}")
+        check_utf8(raw or "", arguments)
+    except (json.JSONDecodeError, RecursionError, SchemaError):
+        arguments = {"__malformed__": raw}
+    return ToolCall(tc.get("id", f"call_{i}"), name, arguments)
 
 
 class HttpChatBackend:
@@ -142,43 +178,17 @@ class HttpChatBackend:
             data = resp.json()
         except requests.RequestException as exc:
             raise BackendError(f"chat endpoint request failed: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise BackendError(f"chat endpoint returned non-JSON body: {exc}") from exc
         try:
+            check_utf8(resp.text, data)
             message = data["choices"][0]["message"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"unexpected chat completion shape: {exc}") from exc
-        if not isinstance(message, dict):
-            raise BackendError(f"chat completion message is not an object: {message!r}")
-        if not isinstance(message.get("content"), (str, type(None))):
-            raise BackendError(f"chat completion content is not a string: {message['content']!r}")
-        tool_calls = message.get("tool_calls")
-        if not isinstance(tool_calls, (list, type(None))):
-            raise BackendError(f"chat completion tool_calls is not a list: {tool_calls!r}")
-        if message.get("content") is None and not tool_calls:
-            raise BackendError("chat completion message has neither content nor tool calls")
-        calls = None
-        if tool_calls:
-            parsed = []
-            for tc in tool_calls:
-                function = tc.get("function", {}) if isinstance(tc, dict) else None
-                if not isinstance(function, dict):
-                    raise BackendError(f"tool call is not an object with a 'function' object: {tc!r}")
-                call_id = tc.get("id", f"call_{len(parsed)}")
-                if not isinstance(call_id, str):
-                    raise BackendError(f"tool call id must be a string, got {call_id!r}")
-                name = function.get("name")
-                if not isinstance(name, str):
-                    raise BackendError(f"tool call needs a string function name, got {name!r}")
-                raw = function.get("arguments")
-                if raw is not None and not isinstance(raw, str):
-                    raise BackendError(f"tool call arguments must be a JSON string, got {raw!r}")
-                # Arguments that are not JSON, or nest too deep to decode,
-                # reach the executor as malformed rather than end the session.
-                try:
-                    arguments = json.loads(function["arguments"] or "{}")
-                except (KeyError, json.JSONDecodeError, RecursionError):
-                    arguments = {"__malformed__": raw}
-                parsed.append(ToolCall(call_id=call_id, name=name, arguments=arguments))
-            calls = tuple(parsed)
-        return ChatMessage(role="assistant", content=message.get("content"), tool_calls=calls)
+            if not isinstance(message, dict):
+                raise TypeError(f"message is not an object: {message!r}")
+            return ChatMessage(
+                role="assistant",
+                content=message.get("content"),
+                tool_calls=calls_from_json(message.get("tool_calls"), _wire_call),
+            )
+        except (SchemaError, LookupError, TypeError) as exc:
+            raise BackendError(f"unusable chat completion: {type(exc).__name__}: {exc}") from exc

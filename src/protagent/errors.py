@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the readers of input
-files that raise them: `read_text` for any UTF-8 file, `read_jsonl` for the
-JSON-lines files (one object per line), `check_unique`, the one check
-for a key that an input repeats, and `check_utf8`, which refuses decoded JSON
+files that raise them: `read_text` for any UTF-8 file, `read_json` and
+`read_jsonl` for JSON and JSON-lines files, `check_unique`, the one check for
+a key that an input repeats, and `check_utf8`, which refuses decoded JSON
 holding a string that UTF-8 cannot encode."""
 
 import json
@@ -110,6 +110,10 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# One decoder for every reader: json.loads given a hook builds one per call.
+_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 # A JSON escape of a UTF-16 surrogate, \uD800 to \uDFFF; an escaped backslash
 # before "u" matches too, which costs only the exact check below.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -144,14 +148,12 @@ def read_jsonl(path: str, what: str, parse) -> list:
     (check_utf8), and any ProtAgentError from `parse`, raises SchemaError
     prefixed "{what} line N"."""
     out = []
-    # One decoder per file: json.loads given a hook builds one per call.
-    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = decode(line)
+            obj = _decode(line)
             if isinstance(obj, dict):
                 check_utf8(line, obj)
                 out.append(parse(line_no, obj))
@@ -162,3 +164,17 @@ def read_jsonl(path: str, what: str, parse) -> list:
         if not isinstance(obj, dict):
             raise SchemaError(f"{what} line {line_no} is not a JSON object")
     return out
+
+
+def read_json(path: str):
+    """The JSON value of a whole file, decoded and checked as read_jsonl
+    decodes a line; any fault is a SchemaError naming the file."""
+    text = read_text(path)
+    try:
+        obj = _decode(text)
+        check_utf8(text, obj)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return obj

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import domains, homology, props, topology
-from .errors import ProtAgentError
+from .errors import ProtAgentError, SchemaError
 from .seq import Sequence, validate_sequence
 
 DEFAULT_MAX_CALLS = 10
@@ -88,7 +88,11 @@ class ToolDescriptor:
 class ToolCall:
     call_id: str
     name: str
-    arguments: dict[str, Any]
+    arguments: Any  # any JSON value, as the model sent it; resolve_arguments judges it
+
+    def __post_init__(self):
+        if not (isinstance(self.call_id, str) and isinstance(self.name, str)):
+            raise SchemaError(f"a tool call's id and name must be strings, got {self.call_id!r}, {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ class ToolRegistry:
         self._tools[descriptor.name] = descriptor
 
     def get(self, name: str) -> ToolDescriptor | None:
-        return self._tools.get(name) if isinstance(name, str) else None
+        return self._tools.get(name)
 
     def names(self) -> list[str]:
         return list(self._tools)

@@ -36,7 +36,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from .blosum62 import BLOSUM62
-from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, check_unique, check_utf8, read_jsonl, read_text
+from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, check_unique, read_json, read_jsonl, read_text
 from .seq import Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
@@ -632,20 +632,12 @@ def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
 def load_built_store(path: str) -> list[ReferenceEntry]:
     """Load a store written by save_built_store.
 
-    Invalid JSON, a string holding a lone surrogate, a file without an
-    'entries' list, an entry that is not an object with string accession and
-    sequence and a valid annotation, and a repeated accession raise
-    SchemaError; an entry's error names its 1-based position.
+    A file that read_json refuses, a file without an 'entries' list, an
+    entry that is not an object with string accession and sequence and a
+    valid annotation, and a repeated accession raise SchemaError; an entry's
+    error names its 1-based position.
     """
-    text = read_text(path)
-    try:
-        obj = json.loads(text)
-        check_utf8(text, obj)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    del text  # so that it is not held while the entries are made
+    obj = read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise SchemaError(f"{path} is not a built reference store (no 'entries' list)")
     entries = []

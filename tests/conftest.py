@@ -1,9 +1,10 @@
+import json
 import os
 import sys
 
 import pytest
 
-from protagent import domains, homology
+from protagent import backends, domains, homology
 from protagent.executor import build_standard_registry
 from protagent.seq import Sequence
 
@@ -52,6 +53,33 @@ def registry(store_index, store_annotations, hmm_library):
     return build_standard_registry(
         index=store_index, annotations=store_annotations, hmm_library=hmm_library
     )
+
+
+class StubReply:
+    """What a replaced `requests.post` returns: the body as JSON text, which
+    `json()` decodes, as a real response's does."""
+
+    def __init__(self, body):
+        self.text = json.dumps(body)
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def http_backend(monkeypatch, message) -> backends.HttpChatBackend:
+    """A remote backend whose every request is answered, in process, with a
+    reply holding `message`."""
+    monkeypatch.setenv("PROTAGENT_API_KEY", "test-key")
+    reply = StubReply({"choices": [{"message": message}]})
+    monkeypatch.setattr(backends.requests, "post", lambda *args, **kwargs: reply)
+    return backends.HttpChatBackend("http://localhost/v1/chat/completions", "test-model")
+
+
+def http_tool_call(arguments, name="seq_basic_props", call_id="c0"):
+    return {"id": call_id, "type": "function", "function": {"name": name, "arguments": arguments}}
 
 
 def pytest_terminal_summary(terminalreporter):

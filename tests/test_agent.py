@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from conftest import data_path
-from protagent import agent, backends
+from conftest import StubReply, data_path, http_backend, http_tool_call
+from protagent import backends
 from protagent.agent import (
     RAG_TOOL_ORDER,
     extract_answer,
@@ -17,7 +17,7 @@ from protagent.agent import (
     save_trace,
     trace_from_json,
 )
-from protagent.backends import ChatMessage, DecodingParams, HttpChatBackend, ScriptedBackend
+from protagent.backends import ChatMessage, DecodingParams, ScriptedBackend
 from protagent.errors import BackendError, SchemaError
 from protagent.executor import SessionLimits, ToolCall
 
@@ -106,8 +106,6 @@ def message(**fields) -> dict:
                      id="call-id-number"),
         pytest.param(trace_with(message(tool_calls=[{"call_id": "c", "name": None, "arguments": {}}])),
                      id="name-null"),
-        pytest.param(trace_with(message(tool_calls=[{"call_id": "c", "name": "x", "arguments": "{}"}])),
-                     id="arguments-string"),
     ],
 )
 def test_load_trace_raises_only_schema_errors(tmp_path, text):
@@ -115,6 +113,24 @@ def test_load_trace_raises_only_schema_errors(tmp_path, text):
     path.write_text(text if isinstance(text, str) else json.dumps(text))
     with pytest.raises(SchemaError, match="is not a saved trace"):
         load_trace(str(path))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"role": "robot", "content": "x"}, id="role-unknown"),
+        pytest.param({"role": "user", "content": 5}, id="content-number"),
+        pytest.param({"role": "tool", "content": "x", "tool_call_id": 5}, id="tool-call-id-number"),
+        pytest.param({"role": "tool", "content": "x"}, id="tool-without-id"),
+        pytest.param({"role": "assistant"}, id="assistant-empty"),
+        pytest.param({"role": "assistant", "tool_calls": ()}, id="tool-calls-empty"),
+        pytest.param({"role": "assistant", "tool_calls": [ToolCall("c", "x", {})]}, id="tool-calls-list"),
+        pytest.param({"role": "assistant", "tool_calls": ({"call_id": "c"},)}, id="tool-call-dict"),
+    ],
+)
+def test_chat_message_refuses_what_breaks_its_rules(fields):
+    with pytest.raises(SchemaError):
+        ChatMessage(**fields)
 
 
 def test_render_trace_layout():
@@ -300,7 +316,7 @@ def test_scripted_backend_malformed_line_names_line(tmp_path):
 
 def test_scripted_backend_rejects_non_list_tool_calls(tmp_path):
     path = tmp_path / "script.jsonl"
-    for tool_calls in (1, True, "seq_basic_props", {"name": "seq_basic_props"}):
+    for tool_calls in (1, True, False, 0, {}, "seq_basic_props", {"name": "seq_basic_props"}):
         path.write_text('{"content": "a"}\n' + json.dumps({"content": "b", "tool_calls": tool_calls}) + "\n")
         with pytest.raises(SchemaError, match="line 2: tool_calls must be a list or null"):
             ScriptedBackend.from_jsonl(str(path))
@@ -367,28 +383,6 @@ def test_deterministic_traces(registry, mscl_seq):
 # --- remote backend response parsing (requests.post is replaced; no network) --
 
 
-class _Reply:
-    def __init__(self, body):
-        self._body = body
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self._body
-
-
-def http_backend(monkeypatch, message) -> HttpChatBackend:
-    monkeypatch.setenv("PROTAGENT_API_KEY", "test-key")
-    reply = _Reply({"choices": [{"message": message}]})
-    monkeypatch.setattr(backends.requests, "post", lambda *args, **kwargs: reply)
-    return HttpChatBackend("http://localhost/v1/chat/completions", "test-model")
-
-
-def http_tool_call(arguments):
-    return {"id": "c0", "type": "function", "function": {"name": "seq_basic_props", "arguments": arguments}}
-
-
 def test_http_backend_parses_tool_calls(monkeypatch):
     message = {
         "content": None,
@@ -407,6 +401,39 @@ def test_http_backend_arguments_nested_too_deep_are_malformed(monkeypatch, regis
     assert result.stop_reason != "backend_error"
     first_tool = next(m for m in result.trace.messages if m.role == "tool")
     assert json.loads(first_tool.content)["error_kind"] == "invalid_arguments"
+
+
+def test_http_backend_body_nested_too_deep_is_backend_error(monkeypatch, registry, mscl_seq):
+    backend = http_backend(monkeypatch, {"content": "x"})
+    reply = StubReply(None)
+    reply.text = "[" * 100_000 + "]" * 100_000
+    monkeypatch.setattr(backends.requests, "post", lambda *args, **kwargs: reply)
+    with pytest.raises(BackendError, match="non-JSON body"):
+        backend.complete([], None, DecodingParams())
+
+
+def test_http_backend_lone_surrogate_in_content_is_backend_error(monkeypatch, registry, mscl_seq, tmp_path):
+    backend = http_backend(monkeypatch, {"content": "<answer>x \ud800</answer>"})
+    with pytest.raises(BackendError, match="lone surrogate"):
+        backend.complete([], None, DecodingParams())
+    result = run_tool_agent(backend, registry, "Q?", mscl_seq)
+    assert result.stop_reason == "backend_error"
+    save_trace(result.trace, str(tmp_path / "trace.json"))
+    assert load_trace(str(tmp_path / "trace.json")) == result.trace
+
+
+def test_http_backend_lone_surrogate_in_arguments_is_malformed(monkeypatch, registry, mscl_seq, tmp_path):
+    # The arguments string holds the escape itself, so the reply body holds it
+    # escaped twice and decodes to a backslash; only decoding the arguments
+    # makes the surrogate.
+    raw = '{"sequence_ref": "\\ud800"}'
+    backend = http_backend(monkeypatch, {"content": None, "tool_calls": [http_tool_call(raw)]})
+    assert backend.complete([], None, DecodingParams()).tool_calls[0].arguments == {"__malformed__": raw}
+    result = run_tool_agent(backend, registry, "Q?", mscl_seq, max_turns=1)
+    first_tool = next(m for m in result.trace.messages if m.role == "tool")
+    assert json.loads(first_tool.content)["error_kind"] == "invalid_arguments"
+    save_trace(result.trace, str(tmp_path / "trace.json"))
+    assert load_trace(str(tmp_path / "trace.json")) == result.trace
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from protagent.executor import (
     invoke,
     resolve_arguments,
 )
+from protagent.errors import SchemaError
 from protagent.seq import Sequence
 
 QUERY = Sequence(id="query", residues="MLKEFKEFALKGNVLDLAIAVVMG")
@@ -296,10 +297,17 @@ def test_mistyped_arguments_are_envelopes_never_raises(registry, mscl_seq):
 
 
 def test_unhashable_values_outside_the_schema_are_envelopes(registry):
-    assert invoke(registry, call(["echo"], {}), ctx()).payload["error_kind"] == "unknown_tool"
+    with pytest.raises(SchemaError, match="id and name must be strings"):
+        call(["echo"], {})
     resp = invoke(registry, call("python_eval", {"sequence_ref": ["query"]}), ctx())
     assert resp.payload["error_kind"] == "invalid_arguments"
     assert "'sequence_ref'" in resp.payload["message"]
+
+
+@pytest.mark.parametrize("call_id, name", [(1, "seq_basic_props"), ("c1", None), ("c1", {"n": 1})])
+def test_tool_call_refuses_a_non_string_id_or_name(call_id, name):
+    with pytest.raises(SchemaError, match="id and name must be strings"):
+        ToolCall(call_id=call_id, name=name, arguments={})
 
 
 def test_param_spec_rejects_unknown_types():

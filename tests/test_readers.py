@@ -2,19 +2,25 @@
 JSON it is given. The inputs are mostly objects with the reader's own keys
 and well-typed values, about half of them with one fault (a mistyped,
 missing, repeated or foreign key), among blank, non-object and non-JSON
-lines."""
+lines. The trace of a session run on any script that its reader accepts, or
+on any remote reply, is saved and read back equal."""
 
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protagent.agent import load_trace, render_trace
+from conftest import MSCL_RESIDUES, http_backend, http_tool_call
+from protagent.agent import load_trace, render_trace, run_tool_agent, save_trace
 from protagent.backends import ScriptedBackend
+from protagent.cli import main
 from protagent.errors import ProtAgentError, SchemaError
 from protagent.evaluation import load_benchmark
+from protagent.executor import build_standard_registry
 from protagent.homology import load_annotations, load_built_store
+from protagent.seq import Sequence
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -93,7 +99,10 @@ CASE = {
     "sequence": st.sampled_from(["MLKV", "ml kv", "WWKV", "MLBV"]),
     "reference_answer": st.text(min_size=1, max_size=6),
 }
-SCRIPT_CALL = {"name": st.sampled_from(["seq_basic_props", "x"]), "arguments": arguments}
+TOOL_NAME = st.sampled_from(["seq_basic_props", "tmbed_predict", "pfam_hmmscan", "x"])
+# Mostly an object, as a tool expects, else any JSON value: a model may send one.
+call_arguments = mostly(arguments | st.just({"sequence_ref": "query"}), json_value)
+SCRIPT_CALL = {"name": TOOL_NAME, "arguments": call_arguments}
 SCRIPT_TURN = {
     "content": mostly(short_text, st.none()),
     "tool_calls": mostly(st.lists(obj(SCRIPT_CALL), max_size=2), st.none()),
@@ -102,6 +111,12 @@ STORE_ENTRY = {
     "accession": accession,
     "sequence": st.sampled_from(["MLKV", "ml kv", "WWKV", "MLBV"]),
     "annotation": obj(ANNOTATION),
+}
+WIRE_FUNCTION = {"name": TOOL_NAME, "arguments": mostly(call_arguments.map(json.dumps), st.none() | json_value)}
+WIRE_CALL = {"id": short_text, "type": st.just("function"), "function": obj(WIRE_FUNCTION)}
+REPLY = {
+    "content": mostly(short_text | st.just("<answer>x</answer>"), st.none()),
+    "tool_calls": mostly(st.lists(obj(WIRE_CALL), max_size=2), st.none()),
 }
 TRACE_CALL = {"call_id": short_text, "name": short_text, "arguments": arguments}
 MESSAGE = {
@@ -119,9 +134,20 @@ TRACE = {
 }
 
 
+QUERY = Sequence(id="query", residues=MSCL_RESIDUES)
+TOOLS = build_standard_registry()  # no store or library: those tools answer with error envelopes
+
+
 @pytest.fixture(scope="module")
 def input_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("readers") / "input")
+
+
+def assert_round_trips(trace, path: str) -> None:
+    """save_trace then load_trace gives the trace back; compared as JSON text,
+    so that a NaN argument counts as equal to itself."""
+    save_trace(trace, path)
+    assert json.dumps(load_trace(path).to_json()) == json.dumps(trace.to_json())
 
 
 def load(reader, path: str, text: str):
@@ -139,6 +165,25 @@ def load(reader, path: str, text: str):
 @given(jsonl(SCRIPT_TURN))
 def test_from_jsonl_returns_or_raises_typed(input_path, text):
     load(ScriptedBackend.from_jsonl, input_path, text)
+
+
+@PROPERTY
+@given(jsonl(SCRIPT_TURN))
+def test_accepted_script_traces_round_trip(input_path, text):
+    backend = load(ScriptedBackend.from_jsonl, input_path, text)
+    if backend is not None:
+        assert_round_trips(run_tool_agent(backend, TOOLS, "Q?", QUERY).trace, input_path)
+
+
+@PROPERTY
+@given(mostly(obj(REPLY), json_value))
+def test_reply_traces_round_trip(input_path, message):
+    # A reply the backend refuses ends the session with backend_error; that
+    # trace must read back too.
+    with pytest.MonkeyPatch.context() as mp:
+        backend = http_backend(mp, message)
+        result = run_tool_agent(backend, TOOLS, "Q?", QUERY, max_turns=2)
+    assert_round_trips(result.trace, input_path)
 
 
 @PROPERTY
@@ -207,3 +252,42 @@ def test_surrogate_pair_and_escaped_backslash_still_load(tmp_path):
     assert "\\ud83d\\ude00" in path.read_text() and "\\\\ud800" in path.read_text()
     records = load_annotations(str(path))
     assert [records[f"A{i}"].protein_name for i in range(2)] == ["smile \U0001F600", "\\ud800 is text"]
+
+
+@pytest.mark.parametrize("reader, text", [
+    (load_built_store, '{"entries": [], "entries": []}'),
+    (load_trace, '{"session_id": "s", "created_at": "t", "paradigm": "direct", "messages": [],'
+                 ' "audit": [{"call": 1, "call": 2}]}'),
+], ids=["built-store", "trace"])
+def test_whole_file_key_repeated_is_schema_error(tmp_path, reader, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="duplicate key"):
+        reader(str(path))
+
+
+NOT_OBJECTS = pytest.mark.parametrize("arguments", [[1], "x", 5], ids=["list", "string", "number"])
+
+
+def assert_shown(path: str) -> None:
+    result = CliRunner().invoke(main, ["trace", "show", path])
+    assert result.exit_code == 0, result.output
+    assert "<tool_call>" in result.output and "invalid_arguments" in result.output
+
+
+@NOT_OBJECTS
+def test_script_arguments_that_are_not_an_object_round_trip(tmp_path, arguments):
+    script = tmp_path / "script.jsonl"
+    script.write_text(json.dumps({"content": None, "tool_calls": [{"name": "seq_basic_props",
+                                                                     "arguments": arguments}]}) + "\n")
+    result = run_tool_agent(ScriptedBackend.from_jsonl(str(script)), TOOLS, "Q?", QUERY)
+    assert_round_trips(result.trace, str(tmp_path / "trace.json"))
+    assert_shown(str(tmp_path / "trace.json"))
+
+
+@NOT_OBJECTS
+def test_reply_arguments_that_are_not_an_object_round_trip(monkeypatch, tmp_path, arguments):
+    backend = http_backend(monkeypatch, {"content": None, "tool_calls": [http_tool_call(json.dumps(arguments))]})
+    result = run_tool_agent(backend, TOOLS, "Q?", QUERY, max_turns=1)
+    assert_round_trips(result.trace, str(tmp_path / "trace.json"))
+    assert_shown(str(tmp_path / "trace.json"))
