@@ -8,6 +8,7 @@ from an environment variable only, never from config files.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -131,10 +132,13 @@ def _scripted_turn(line_no: int, obj: dict) -> ChatMessage:
         raise SchemaError(f"every tool call must be an object with a name ({type(exc).__name__}: {exc})") from exc
 
 
-def _wire_call(i: int, tc: dict) -> ToolCall:
-    """A wire reply's tool call. `function.arguments` is a JSON string (null
-    or empty for none); one that is not JSON, nests too deep or holds a lone
-    surrogate becomes {"__malformed__": <the string>} for the executor."""
+def _wire_call(turn: int, i: int, tc: dict) -> ToolCall:
+    """Tool call i of the reply to a request of `turn` messages. One without
+    an id gets `call_{turn}_{i}`: the conversation grows every turn, so
+    these ids are unique within a session. `function.arguments` is a JSON
+    string (null or empty for none); one that is not JSON, nests too deep or
+    holds a lone surrogate becomes {"__malformed__": <the string>} for the
+    executor."""
     function = tc["function"]
     name, raw = function["name"], function.get("arguments")
     if not isinstance(raw, (str, type(None))):
@@ -144,7 +148,7 @@ def _wire_call(i: int, tc: dict) -> ToolCall:
         check_utf8(raw or "", arguments)
     except (json.JSONDecodeError, RecursionError, SchemaError):
         arguments = {"__malformed__": raw}
-    return ToolCall(tc.get("id", f"call_{i}"), name, arguments)
+    return ToolCall(tc.get("id", f"call_{turn}_{i}"), name, arguments)
 
 
 class HttpChatBackend:
@@ -188,7 +192,7 @@ class HttpChatBackend:
             return ChatMessage(
                 role="assistant",
                 content=message.get("content"),
-                tool_calls=calls_from_json(message.get("tool_calls"), _wire_call),
+                tool_calls=calls_from_json(message.get("tool_calls"), functools.partial(_wire_call, len(messages))),
             )
         except (SchemaError, LookupError, TypeError) as exc:
             raise BackendError(f"unusable chat completion: {type(exc).__name__}: {exc}") from exc

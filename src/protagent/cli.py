@@ -12,7 +12,7 @@ import click
 from . import agent, domains, evaluation, homology
 from .backends import ChatMessage, DecodingParams, HttpChatBackend, ScriptedBackend
 from .config import RunConfig, build_config
-from .errors import ConfigError, ProtAgentError, read_text
+from .errors import ProtAgentError, read_text
 from .executor import SessionContext, SessionLimits, ToolCall, build_standard_registry, invoke
 from .seq import Sequence, parse_fasta, validate_sequence
 
@@ -35,13 +35,6 @@ def _store_options(f):
     f = click.option("--store-json", default=None, help="Built reference store (from 'index build')")(f)
     f = click.option("--hmm-library", default=None, help="Profile-HMM library file")(f)
     return f
-
-
-def _config(config_path, **overrides) -> RunConfig:
-    try:
-        return build_config(config_path, **overrides)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
 
 
 def _read_sequence(sequence: str | None, sequence_file: str | None, seq_id: str = "query") -> Sequence:
@@ -96,7 +89,18 @@ def _run_session(paradigm, backend, registry, question, seq, cfg: RunConfig, ses
     )
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """The CLI's one error path: a ProtAgentError or OSError from any
+    command becomes `Error: <message>` on stderr and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ProtAgentError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Tool-augmented protein function reasoning agent."""
 
@@ -112,15 +116,12 @@ def main():
 @_store_options
 def ask(question, sequence, sequence_file, paradigm, config_path, run_dir, **overrides):
     """Run one question through a paradigm; print the answer and trace path."""
-    cfg = _config(config_path, run_dir=run_dir, **overrides)
-    try:
-        seq = _read_sequence(sequence, sequence_file)
-        registry = _load_registry(cfg)
-        backend = _backend_factory(cfg)()
-        os.makedirs(os.path.join(cfg.run_dir, "traces"), exist_ok=True)
-        result = _run_session(paradigm, backend, registry, question, seq, cfg, "ask")
-    except (ProtAgentError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    cfg = build_config(config_path, run_dir=run_dir, **overrides)
+    seq = _read_sequence(sequence, sequence_file)
+    registry = _load_registry(cfg)
+    backend = _backend_factory(cfg)()
+    os.makedirs(os.path.join(cfg.run_dir, "traces"), exist_ok=True)
+    result = _run_session(paradigm, backend, registry, question, seq, cfg, "ask")
     trace_path = os.path.join(cfg.run_dir, "traces", "ask.json")
     agent.save_trace(result.trace, trace_path)
     click.echo(f"stop_reason: {result.stop_reason}")
@@ -141,26 +142,23 @@ def ask(question, sequence, sequence_file, paradigm, config_path, run_dir, **ove
 @_store_options
 def bench(paradigm, cases_path, config_path, run_dir, workers, **overrides):
     """Run a benchmark file through a paradigm and write traces + report."""
-    cfg = _config(config_path, run_dir=run_dir, workers=workers, **overrides)
-    try:
-        cases = evaluation.load_benchmark(cases_path)
-        registry = _load_registry(cfg)
-        new_backend = _backend_factory(cfg)
-        traces_dir = os.path.join(cfg.run_dir, "traces")
-        os.makedirs(traces_dir, exist_ok=True)
-    except (ProtAgentError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    cfg = build_config(config_path, run_dir=run_dir, workers=workers, **overrides)
+    cases = evaluation.load_benchmark(cases_path)
+    registry = _load_registry(cfg)
+    new_backend = _backend_factory(cfg)
+    traces_dir = os.path.join(cfg.run_dir, "traces")
+    os.makedirs(traces_dir, exist_ok=True)
 
     def run_case(case):
-        return case.case_id, _run_session(
-            paradigm, new_backend(), registry, case.question, case.sequence, cfg, case.case_id
-        )
+        result = _run_session(paradigm, new_backend(), registry, case.question, case.sequence, cfg, case.case_id)
+        agent.save_trace(result.trace, os.path.join(traces_dir, f"{case.case_id}.json"))
+        return case.case_id, result
 
+    # Every case runs and writes its trace even if another fails; the first
+    # failure is raised only once the pool has drained.
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = dict(pool.map(run_case, cases))
-
-    for case_id, result in results.items():
-        agent.save_trace(result.trace, os.path.join(traces_dir, f"{case_id}.json"))
+        futures = [pool.submit(run_case, case) for case in cases]
+    results = dict(f.result() for f in futures)
     report = evaluation.evaluate_run(cases, results)
     with open(os.path.join(cfg.run_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_json(), fh, ensure_ascii=False, indent=2)
@@ -184,11 +182,8 @@ def index():
 @click.option("--out", required=True)
 def index_build(fasta, annotations, out):
     """Validate FASTA + annotations and write a single-file reference store."""
-    try:
-        entries = homology.load_reference_store(fasta, annotations)
-        homology.save_built_store(entries, out)
-    except (ProtAgentError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    entries = homology.load_reference_store(fasta, annotations)
+    homology.save_built_store(entries, out)
     click.echo(f"wrote {len(entries)} entries to {out}")
 
 
@@ -206,12 +201,9 @@ def tools():
 @_store_options
 def tools_run(tool_name, sequence, sequence_file, min_seq_id, config_path, **overrides):
     """Invoke one tool and print its wire payload."""
-    cfg = _config(config_path, **overrides)
-    try:
-        seq = _read_sequence(sequence, sequence_file)
-        registry = _load_registry(cfg)
-    except (ProtAgentError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    cfg = build_config(config_path, **overrides)
+    seq = _read_sequence(sequence, sequence_file)
+    registry = _load_registry(cfg)
     args = {"sequence_ref": "query"}
     if min_seq_id is not None:
         args["min_seq_id"] = min_seq_id
@@ -246,15 +238,11 @@ def trace_show(path):
 @_backend_options
 def synth(cases_path, out, fill, config_path, **overrides):
     """Emit cold-start reasoning-trace synthesis prompts for a benchmark file."""
-    cfg = _config(config_path, **overrides)
-    try:
-        cases = evaluation.load_benchmark(cases_path)
-        backend = _backend_factory(cfg)() if fill else None
-        fh = open(out, "w", encoding="utf-8")
-    except (ProtAgentError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    cfg = build_config(config_path, **overrides)
+    cases = evaluation.load_benchmark(cases_path)
+    backend = _backend_factory(cfg)() if fill else None
     decoding = DecodingParams(temperature=cfg.temperature, max_tokens=cfg.max_tokens)
-    with fh:
+    with open(out, "w", encoding="utf-8") as fh:
         for case in cases:
             prompt = evaluation.synth_cold_start_prompt(case)
             row = {"case_id": case.case_id, "prompt": prompt}

@@ -31,8 +31,8 @@ class QaCase:
     reference_answer: str
 
     def __post_init__(self):
-        if not self.reference_answer:
-            raise SchemaError(f"case {self.case_id!r}: reference_answer must be nonempty")
+        if not _TOKEN_RE.search(self.reference_answer.lower()):
+            raise SchemaError(f"case {self.case_id!r}: reference_answer has no word ROUGE can score ([a-z0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def load_benchmark(path: str) -> list[QaCase]:
     Besides read_jsonl's checks, a field that is missing or not a string, a
     case_id that is not a safe file name (traces are written to
     `traces/<case_id>.json`), a repeated case_id and a case that fails its
-    own checks (sequence id and residues, nonempty reference) all raise
+    own checks (sequence id and residues, a reference ROUGE can score) all raise
     SchemaError naming the 1-based line.
     """
     first_line: dict[str, str] = {}

@@ -30,12 +30,10 @@ class DuplicateToolError(ProtAgentError):
     """Raised when a tool name is registered twice."""
 
 
-class NotSupportedError(ProtAgentError):
-    """Raised by stub handlers whose capability is deliberately disabled."""
-
-
-class ResolutionError(ProtAgentError):
-    """Argument resolution failure; carries the envelope error kind."""
+class ToolError(ProtAgentError):
+    """A tool call that fails with a named envelope error kind: raised by
+    argument resolution and by handlers (an argument only the handler can
+    check, a disabled capability)."""
 
     def __init__(self, error_kind: str, message: str):
         super().__init__(message)
@@ -152,30 +150,30 @@ def resolve_arguments(registry: ToolRegistry, call: ToolCall, ctx: SessionContex
     """
     descriptor = registry.get(call.name)
     if descriptor is None:
-        raise ResolutionError("unknown_tool", f"no tool named {call.name!r}")
+        raise ToolError("unknown_tool", f"no tool named {call.name!r}")
     if not isinstance(call.arguments, dict):
-        raise ResolutionError("invalid_arguments", f"arguments must be an object, got {call.arguments!r}")
+        raise ToolError("invalid_arguments", f"arguments must be an object, got {call.arguments!r}")
     args = dict(call.arguments)
     for key, value in args.items():
         spec = descriptor.parameters.get(key)
         if spec is None:
-            raise ResolutionError("invalid_arguments", f"unknown argument {key!r} for tool {call.name!r}")
+            raise ToolError("invalid_arguments", f"unknown argument {key!r} for tool {call.name!r}")
         if not _TYPE_CHECKS[spec.type](value):
-            raise ResolutionError("invalid_arguments", f"argument {key!r} must be a {spec.type}, got {value!r}")
+            raise ToolError("invalid_arguments", f"argument {key!r} must be a {spec.type}, got {value!r}")
     if "sequence_ref" in args and "sequence" in args:
-        raise ResolutionError("ambiguous_argument", "both 'sequence' and 'sequence_ref' given")
+        raise ToolError("ambiguous_argument", "both 'sequence' and 'sequence_ref' given")
     if "sequence_ref" in args:
         ref = args.pop("sequence_ref")
         if ref != "query":
-            raise ResolutionError("unknown_reference", f"no sequence named {ref!r} in this session")
+            raise ToolError("unknown_reference", f"no sequence named {ref!r} in this session")
         args["sequence"] = ctx.query_sequence
     elif "sequence" in args:
         try:
             args["sequence"] = validate_sequence("inline", args["sequence"])
         except ProtAgentError as exc:
-            raise ResolutionError("invalid_arguments", str(exc)) from exc
+            raise ToolError("invalid_arguments", str(exc)) from exc
     if "sequence" in descriptor.parameters and "sequence" not in args:
-        raise ResolutionError("invalid_arguments", "either 'sequence' or 'sequence_ref' is required")
+        raise ToolError("invalid_arguments", "either 'sequence' or 'sequence_ref' is required")
     return args
 
 
@@ -203,16 +201,14 @@ def _invoke_inner(registry: ToolRegistry, call: ToolCall, ctx: SessionContext) -
     ctx.calls_made += 1
     try:
         args = resolve_arguments(registry, call, ctx)
-    except ResolutionError as exc:
+    except ToolError as exc:
         return _error_response(call, exc.error_kind, str(exc))
     descriptor = registry.get(call.name)
     start = ctx.clock()
     failure = None
     try:
         payload = descriptor.handler(args, ctx)
-    except NotSupportedError as exc:
-        failure = ("not_supported", str(exc))
-    except ResolutionError as exc:  # an argument only the handler can check
+    except ToolError as exc:
         failure = (exc.error_kind, str(exc))
     except ProtAgentError as exc:
         failure = ("tool_error", str(exc))
@@ -233,9 +229,7 @@ _SEQ_PARAMS = {
 
 
 def _not_supported(args, ctx):
-    raise NotSupportedError(
-        "python_eval is not supported in this build; register a sandboxed evaluator to enable it"
-    )
+    raise ToolError("not_supported", "python_eval is not supported in this build")
 
 
 def build_standard_registry(
@@ -256,7 +250,7 @@ def build_standard_registry(
     def homology_handler(args, ctx):
         min_seq_id = args.get("min_seq_id", homology.DEFAULT_MIN_SEQ_ID)
         if not 0 <= min_seq_id <= 1:
-            raise ResolutionError("invalid_arguments", f"min_seq_id must be in [0, 1], got {min_seq_id!r}")
+            raise ToolError("invalid_arguments", f"min_seq_id must be in [0, 1], got {min_seq_id!r}")
         if index is None or annotations is None:
             raise ProtAgentError("no reference store configured for homology search")
         hit = homology.search_best_hit(index, args["sequence"], min_seq_id=min_seq_id)

@@ -392,6 +392,16 @@ def test_http_backend_parses_tool_calls(monkeypatch):
     assert [tc.arguments for tc in turn.tool_calls] == [{"sequence_ref": "query"}, {"__malformed__": "{not json"}, {}]
 
 
+def test_http_backend_ids_idless_calls_uniquely_per_session(monkeypatch, registry, mscl_seq):
+    call = {"type": "function", "function": {"name": "seq_basic_props", "arguments": '{"sequence_ref": "query"}'}}
+    backend = http_backend(monkeypatch, {"content": None, "tool_calls": [call]})
+    trace = run_tool_agent(backend, registry, "Q?", mscl_seq, max_turns=3).trace
+    tool_ids = [m.tool_call_id for m in trace.messages if m.role == "tool"]
+    audit_ids = [entry["call"]["call_id"] for entry in trace.audit]
+    assert tool_ids == ["call_1_0", "call_3_0", "call_5_0"]
+    assert all(audit_ids.count(call_id) == 1 for call_id in tool_ids)
+
+
 def test_http_backend_arguments_nested_too_deep_are_malformed(monkeypatch, registry, mscl_seq):
     deep = "[" * 100_000
     backend = http_backend(monkeypatch, {"content": None, "tool_calls": [http_tool_call(deep)]})

@@ -3,9 +3,13 @@ import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MSCL_RESIDUES, data_path
+from protagent import cli
 from protagent.cli import main
+from protagent.errors import SchemaError
 
 
 @pytest.fixture
@@ -435,3 +439,139 @@ def test_remote_backend_requires_api_key_env(runner, monkeypatch):
     )
     assert result.exit_code != 0
     assert "PROTAGENT_API_KEY" in result.output
+
+
+def assert_error_message(result, text):
+    """The CLI's error contract: `Error: <message>`, exit code 1, no traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: ") and text in result.output, result.output
+    assert "Traceback" not in result.output
+
+
+def test_bench_unscorable_reference_is_a_message_before_any_session(runner, tmp_path):
+    with open(data_path("cases.jsonl"), encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    rows[1]["reference_answer"] = "蛋白质"
+    cases = tmp_path / "cases.jsonl"
+    cases.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+    result = runner.invoke(main, bench_args(cases, data_path("replay.jsonl"), tmp_path / "run"))
+    assert_error_message(result, "benchmark line 2: case 'toy-2': reference_answer has no word ROUGE can score")
+    assert not (tmp_path / "run" / "traces").exists()
+
+
+def test_ask_trace_path_that_is_a_directory_is_a_message(runner, tmp_path):
+    (tmp_path / "traces" / "ask.json").mkdir(parents=True)
+    result = runner.invoke(
+        main,
+        [
+            "ask",
+            "--question", "Q?",
+            "--sequence", MSCL_RESIDUES,
+            "--paradigm", "direct",
+            "--backend", "scripted",
+            "--script", data_path("direct_replies.jsonl"),
+            "--run-dir", str(tmp_path),
+        ],
+    )
+    assert_error_message(result, f"Is a directory: '{tmp_path / 'traces' / 'ask.json'}'")
+
+
+def test_bench_report_path_that_is_a_directory_is_a_message(runner, tmp_path):
+    run = tmp_path / "run"
+    (run / "report.json").mkdir(parents=True)
+    result = runner.invoke(main, bench_args(data_path("cases.jsonl"), data_path("replay.jsonl"), run))
+    assert_error_message(result, f"Is a directory: '{run / 'report.json'}'")
+    for case_id in ("mscl-1", "toy-2", "toy-3"):
+        assert (run / "traces" / f"{case_id}.json").exists()
+
+
+def test_bench_failing_case_leaves_the_other_traces(runner, tmp_path, monkeypatch):
+    # The first case fails inside its session; with one worker the other two
+    # still run after it, and each trace is written when its session ends.
+    run_session = cli._run_session
+
+    def fail_first_case(*args):
+        if args[-1] == "mscl-1":
+            raise SchemaError("session for mscl-1 failed")
+        return run_session(*args)
+
+    monkeypatch.setattr("protagent.cli._run_session", fail_first_case)
+    run = tmp_path / "run"
+    args = bench_args(data_path("cases.jsonl"), data_path("replay.jsonl"), run) + ["--workers", "1"]
+    result = runner.invoke(main, args)
+    assert_error_message(result, "session for mscl-1 failed")
+    assert sorted(os.listdir(run / "traces")) == ["toy-2.json", "toy-3.json"]
+    assert not (run / "report.json").exists()
+
+
+# --- every file input, fuzzed: a click message or success, never a traceback --
+
+FUZZ = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A scratch directory holding a valid file for each input: the bundled
+    data, plus a built store, a trace and a config file made here."""
+    d = tmp_path_factory.mktemp("fuzz")
+    runner = CliRunner()
+    store = str(d / "store.json")
+    runner.invoke(main, ["index", "build", "--fasta", data_path("store.fasta"),
+                         "--annotations", data_path("store.annotations.jsonl"), "--out", store])
+    runner.invoke(main, ["ask", "--question", "Q?", "--sequence", MSCL_RESIDUES, "--backend", "scripted",
+                         "--script", data_path("replay.jsonl"), "--store-json", store,
+                         "--hmm-library", data_path("toy.hmm"), "--run-dir", str(d / "ask")])
+    (d / "run.conf").write_text("max_turns = 4\ntool_budget = 3\nworkers = 2\n")
+    return d
+
+
+def chunk(max_size: int):
+    """Any bytes, or the UTF-8 bytes of any text."""
+    return st.binary(max_size=max_size) | st.text(max_size=max_size).map(str.encode)
+
+
+def fuzzed(valid: bytes):
+    """Bytes of an input file: arbitrary ones, or the valid file with one
+    slice replaced by arbitrary bytes (which may cut it short)."""
+    edit = st.tuples(st.integers(0, len(valid)), st.integers(0, 24), chunk(8))
+    return chunk(48) | edit.map(lambda e: valid[: e[0]] + e[2] + valid[e[0] + e[1]:])
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["bench --cases", "bench --script", "bench --store-json", "bench --hmm-library", "bench --config",
+     "trace show", "index build --fasta"],
+)
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_input_file_is_never_a_traceback(fuzz_dir, target, data):
+    d = fuzz_dir
+    bad = str(d / "input")
+    if target.startswith("bench"):
+        files = {
+            "--cases": data_path("cases.jsonl"),
+            "--script": data_path("replay.jsonl"),
+            "--store-json": str(d / "store.json"),
+            "--hmm-library": data_path("toy.hmm"),
+            "--config": str(d / "run.conf"),
+        }
+        option = target.split()[1]
+        valid, files[option] = files[option], bad
+        args = ["bench", "--paradigm", "tool_agent", "--backend", "scripted", "--run-dir", str(d / "run")]
+        args += [a for option_file in files.items() for a in option_file]
+    elif target == "trace show":
+        valid = str(d / "ask" / "traces" / "ask.json")
+        args = ["trace", "show", bad]
+    else:
+        valid = data_path("store.fasta")
+        args = ["index", "build", "--fasta", bad, "--annotations", data_path("store.annotations.jsonl"),
+                "--out", str(d / "built.json")]
+    with open(valid, "rb") as fh:
+        content = data.draw(fuzzed(fh.read()), label="content")
+    with open(bad, "wb") as fh:
+        fh.write(content)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output

@@ -117,11 +117,14 @@ def test_load_benchmark_missing_field(tmp_path):
 
 
 def test_case_requires_reference(tmp_path):
+    # A reference with no [a-z0-9]+ token cannot be scored by ROUGE, so it is
+    # refused when the file is read, before any session runs.
     path = tmp_path / "bad.jsonl"
-    row = {"case_id": "x", "task": "t", "question": "q", "sequence": "ML", "reference_answer": ""}
-    path.write_text(json.dumps(row) + "\n")
-    with pytest.raises(SchemaError):
-        load_benchmark(str(path))
+    for reference in ("", "蛋白质", "—"):
+        row = {"case_id": "x", "task": "t", "question": "q", "sequence": "ML", "reference_answer": reference}
+        path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="benchmark line 1: .*reference_answer has no word ROUGE can score"):
+            load_benchmark(str(path))
 
 
 def case_row(case_id):

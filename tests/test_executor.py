@@ -203,7 +203,7 @@ def test_non_object_arguments_envelope():
 
 def test_python_eval_not_supported(registry):
     resp = invoke(registry, call("python_eval", {"code": "1+1"}), ctx())
-    assert resp.payload["error_kind"] == "not_supported"
+    assert resp.payload == {"error_kind": "not_supported", "message": "python_eval is not supported in this build"}
 
 
 def test_standard_registry_names(registry):
