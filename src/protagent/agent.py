@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from .backends import ChatMessage, DecodingParams, LlmBackend, calls_from_json
-from .errors import BackendError, SchemaError, read_json
+from .errors import BackendError, SchemaError, read_json, write_json
 from .executor import SessionContext, SessionLimits, ToolCall, ToolRegistry, invoke
 from .seq import Sequence
 from .templates import BASELINE_TEMPLATE, RAG_TEMPLATE, TOOL_AGENT_TEMPLATE, sequence_block
@@ -129,9 +129,7 @@ def load_trace(path: str) -> ConversationTrace:
 
 
 def save_trace(trace: ConversationTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace.to_json(), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(path, trace.to_json())
 
 
 def render_trace(trace: ConversationTrace) -> str:

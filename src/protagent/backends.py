@@ -16,7 +16,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import BackendError, ConfigError, SchemaError, check_utf8, read_jsonl
+from .errors import BackendError, SchemaError, check_utf8, read_jsonl
 from .executor import ToolCall
 
 REQUEST_TIMEOUT_S = 120.0
@@ -157,7 +157,7 @@ class HttpChatBackend:
     def __init__(self, endpoint: str, model: str, api_key_env: str = "PROTAGENT_API_KEY"):
         api_key = os.environ.get(api_key_env)
         if not api_key:
-            raise ConfigError(f"environment variable {api_key_env} is not set (required for remote backend)")
+            raise SchemaError(f"environment variable {api_key_env} is not set (required for remote backend)")
         self.endpoint = endpoint
         self.model = model
         self._api_key = api_key

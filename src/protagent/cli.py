@@ -12,7 +12,7 @@ import click
 from . import agent, domains, evaluation, homology
 from .backends import ChatMessage, DecodingParams, HttpChatBackend, ScriptedBackend
 from .config import RunConfig, build_config
-from .errors import ProtAgentError, read_text
+from .errors import ProtAgentError, parse_file, write_json
 from .executor import SessionContext, SessionLimits, ToolCall, build_standard_registry, invoke
 from .seq import Sequence, parse_fasta, validate_sequence
 
@@ -41,7 +41,7 @@ def _read_sequence(sequence: str | None, sequence_file: str | None, seq_id: str 
     if sequence and sequence_file:
         raise click.ClickException("give either --sequence or --sequence-file, not both")
     if sequence_file:
-        sequence = parse_fasta(read_text(sequence_file))[0].sequence.residues
+        sequence = parse_file(sequence_file, parse_fasta)[0].sequence.residues
     if not sequence:
         raise click.ClickException("a sequence is required (--sequence or --sequence-file)")
     return validate_sequence(seq_id, sequence)
@@ -57,7 +57,7 @@ def _load_registry(cfg: RunConfig):
         index = homology.build_index(entries)
         annotations = {e.accession: e.annotation for e in entries}
     if cfg.hmm_library:
-        library = domains.parse_hmm_library(read_text(cfg.hmm_library))
+        library = parse_file(cfg.hmm_library, domains.parse_hmm_library)
     return build_standard_registry(index=index, annotations=annotations, hmm_library=library)
 
 
@@ -160,9 +160,7 @@ def bench(paradigm, cases_path, config_path, run_dir, workers, **overrides):
         futures = [pool.submit(run_case, case) for case in cases]
     results = dict(f.result() for f in futures)
     report = evaluation.evaluate_run(cases, results)
-    with open(os.path.join(cfg.run_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.run_dir, "report.json"), report.to_json())
     table = evaluation.render_report(report)
     with open(os.path.join(cfg.run_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(table)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, read_text
+from .errors import SchemaError, read_text
 
 
 @dataclass
@@ -32,21 +32,21 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.backend not in ("remote", "scripted"):
-            raise ConfigError(f"backend must be 'remote' or 'scripted', got {self.backend!r}")
+            raise SchemaError(f"backend must be 'remote' or 'scripted', got {self.backend!r}")
         if self.backend == "remote" and not (self.endpoint and self.model):
-            raise ConfigError("remote backend requires both endpoint and model")
+            raise SchemaError("remote backend requires both endpoint and model")
         if self.backend == "scripted" and not self.script:
-            raise ConfigError("scripted backend requires a script file")
+            raise SchemaError("scripted backend requires a script file")
         if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            raise SchemaError(f"workers must be >= 1, got {self.workers}")
         if self.max_turns < 1:
-            raise ConfigError(f"max_turns must be >= 1, got {self.max_turns}")
+            raise SchemaError(f"max_turns must be >= 1, got {self.max_turns}")
         if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+            raise SchemaError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.tool_budget < 0:
-            raise ConfigError(f"tool_budget must be >= 0, got {self.tool_budget}")
+            raise SchemaError(f"tool_budget must be >= 0, got {self.tool_budget}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
+            raise SchemaError(f"temperature must be a finite number >= 0, got {self.temperature}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -58,21 +58,21 @@ def load_config_file(path: str) -> dict:
     values: dict = {}
     first_line: dict[str, int] = {}
     try:
-        lines = read_text(path, ConfigError).split("\n")
+        lines = read_text(path).split("\n")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise SchemaError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key = value, got {line!r}")
+            raise SchemaError(f"{path}:{line_no}: expected key = value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+            raise SchemaError(f"{path}:{line_no}: unknown config key {key!r}")
         if first_line.setdefault(key, line_no) != line_no:
-            raise ConfigError(f"{path}:{line_no}: duplicate config key {key!r} (first on line {first_line[key]})")
+            raise SchemaError(f"{path}:{line_no}: duplicate config key {key!r} (first on line {first_line[key]})")
         values[key] = _coerce(key, raw, f"{path}:{line_no}")
     return values
 
@@ -80,12 +80,12 @@ def load_config_file(path: str) -> dict:
 def _coerce(key: str, raw: str, where: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind in ("int", int):
+        if kind == "int":
             return int(raw)
-        if kind in ("float", float):
+        if kind == "float":
             return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key}: {raw!r}") from exc
+        raise SchemaError(f"{where}: bad value for {key}: {raw!r}") from exc
     return raw
 
 

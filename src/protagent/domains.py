@@ -38,12 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .errors import (
-    EmptyLibraryError,
-    MalformedProfileError,
-    ProfileParseError,
-    TruncatedProfileError,
-)
+from .errors import SchemaError
 from .seq import CANONICAL_RESIDUES, Sequence
 
 RESIDUE_ORDER = tuple(sorted(CANONICAL_RESIDUES))
@@ -72,31 +67,34 @@ class ProfileHmm:
 
     def __post_init__(self):
         if self.model_length < 1:
-            raise MalformedProfileError(f"profile {self.name!r}: model length must be >= 1")
+            raise SchemaError(f"profile {self.name!r}: model length must be >= 1")
         for rows, label in ((self.match_emissions, "match"), (self.insert_emissions, "insert")):
             if len(rows) != self.model_length:
-                raise TruncatedProfileError(
+                raise SchemaError(
                     f"profile {self.name!r}: {len(rows)} {label} emission rows for length {self.model_length}"
                 )
             for k, row in enumerate(rows, start=1):
-                total = sum(math.exp(-v) for v in row)
+                try:
+                    total = sum(math.exp(-v) for v in row)
+                except OverflowError:  # a stored value far below 0
+                    total = math.inf
                 if not abs(total - 1.0) <= 1e-6:  # also rejects NaN
-                    raise MalformedProfileError(
+                    raise SchemaError(
                         f"profile {self.name!r}: {label} emissions at node {k} sum to {total}, not 1"
                     )
         if len(self.transitions) != self.model_length:
-            raise TruncatedProfileError(
+            raise SchemaError(
                 f"profile {self.name!r}: {len(self.transitions)} transition rows for length {self.model_length}"
             )
         # Viterbi relies on every transition score being <= 0 or -inf: no NaN,
         # and no stored value below 0, which is a probability above 1.
         for k, row in enumerate(self.transitions, start=1):
             if not all(v >= 0.0 for v in row):
-                raise MalformedProfileError(
+                raise SchemaError(
                     f"profile {self.name!r}: transition at node {k} is NaN or below 0 (a probability above 1)"
                 )
         if len(self.background) != 20 or not all(0.0 < f < math.inf for f in self.background):
-            raise MalformedProfileError(f"profile {self.name!r}: background needs 20 positive finite frequencies")
+            raise SchemaError(f"profile {self.name!r}: background needs 20 positive finite frequencies")
 
     def score_tables(self):
         """Log-odds scores in whole 1/SCALE bits, -inf where the probability is 0.
@@ -247,7 +245,7 @@ def _parse_value(token: str, line_no: int) -> float:
     try:
         return float(token)
     except ValueError as exc:
-        raise ProfileParseError(f"non-numeric field {token!r} at line {line_no}") from exc
+        raise SchemaError(f"non-numeric field {token!r} at line {line_no}") from exc
 
 
 def parse_hmm_library(text: str) -> list[ProfileHmm]:
@@ -262,7 +260,7 @@ def parse_hmm_library(text: str) -> list[ProfileHmm]:
             i += 1
             continue
         if not line.startswith("HMMER3"):
-            raise ProfileParseError(f"expected record header at line {i + 1}, got {line!r}")
+            raise SchemaError(f"expected record header at line {i + 1}, got {line!r}")
         i += 1
         header: dict[str, str] = {}
         while i < n and lines[i].split() and lines[i].split()[0] != "HMM":
@@ -270,20 +268,23 @@ def parse_hmm_library(text: str) -> list[ProfileHmm]:
             header[parts[0]] = parts[1].strip() if len(parts) > 1 else ""
             i += 1
         if i >= n:
-            raise ProfileParseError(f"record {header.get('NAME', '?')!r}: missing HMM section")
+            raise SchemaError(f"record {header.get('NAME', '?')!r}: missing HMM section")
         if "LENG" not in header:
-            raise MalformedProfileError(f"record {header.get('NAME', '?')!r}: missing LENG")
+            raise SchemaError(f"record {header.get('NAME', '?')!r}: missing LENG")
         try:
             leng = int(header["LENG"])
         except ValueError as exc:
-            raise ProfileParseError(f"record {header.get('NAME', '?')!r}: bad LENG {header['LENG']!r}") from exc
+            raise SchemaError(f"record {header.get('NAME', '?')!r}: bad LENG {header['LENG']!r}") from exc
         i += 2  # skip HMM residue-order line and transition-order line
         background = _UNIFORM_BACKGROUND
         if i < n and lines[i].split() and lines[i].split()[0] == "COMPO":
             tokens = lines[i].split()[1:]
             if len(tokens) != 20:
-                raise ProfileParseError(f"COMPO row at line {i + 1} has {len(tokens)} values, expected 20")
-            background = tuple(math.exp(-_parse_value(t, i + 1)) for t in tokens)
+                raise SchemaError(f"COMPO row at line {i + 1} has {len(tokens)} values, expected 20")
+            try:
+                background = tuple(math.exp(-_parse_value(t, i + 1)) for t in tokens)
+            except OverflowError as exc:  # a stored value far below 0: a frequency far above 1
+                raise SchemaError(f"COMPO row at line {i + 1} has a value far below 0") from exc
             i += 1
         match_rows, insert_rows, transition_rows = [], [], []
         name = header.get("NAME", "?")
@@ -292,31 +293,31 @@ def parse_hmm_library(text: str) -> list[ProfileHmm]:
             if stripped == "//":
                 break
             if stripped.startswith("HMMER3") or not stripped:
-                raise ProfileParseError(f"record {name!r}: missing '//' terminator")
+                raise SchemaError(f"record {name!r}: missing '//' terminator")
             node_tokens = lines[i].split()
             expect = str(len(match_rows) + 1)
             if node_tokens[0] != expect:
-                raise ProfileParseError(
+                raise SchemaError(
                     f"record {name!r}: expected node {expect} at line {i + 1}, got {node_tokens[0]!r}"
                 )
             if len(node_tokens) != 21:
-                raise ProfileParseError(f"match row at line {i + 1} has {len(node_tokens) - 1} values, expected 20")
+                raise SchemaError(f"match row at line {i + 1} has {len(node_tokens) - 1} values, expected 20")
             match_rows.append(tuple(_parse_value(t, i + 1) for t in node_tokens[1:]))
             if i + 2 >= n:
-                raise TruncatedProfileError(f"record {name!r}: truncated node block at line {i + 1}")
+                raise SchemaError(f"record {name!r}: truncated node block at line {i + 1}")
             ins_tokens = lines[i + 1].split()
             if len(ins_tokens) != 20:
-                raise ProfileParseError(f"insert row at line {i + 2} has {len(ins_tokens)} values, expected 20")
+                raise SchemaError(f"insert row at line {i + 2} has {len(ins_tokens)} values, expected 20")
             insert_rows.append(tuple(_parse_value(t, i + 2) for t in ins_tokens))
             tr_tokens = lines[i + 2].split()
             if len(tr_tokens) != 7:
-                raise ProfileParseError(f"transition row at line {i + 3} has {len(tr_tokens)} values, expected 7")
+                raise SchemaError(f"transition row at line {i + 3} has {len(tr_tokens)} values, expected 7")
             transition_rows.append(tuple(_parse_value(t, i + 3) for t in tr_tokens))
             i += 3
         else:
-            raise ProfileParseError(f"record {name!r}: missing '//' terminator")
+            raise SchemaError(f"record {name!r}: missing '//' terminator")
         if len(match_rows) != leng:
-            raise TruncatedProfileError(
+            raise SchemaError(
                 f"record {name!r}: {len(match_rows)} emission rows for LENG {leng}"
             )
         profiles.append(
@@ -473,7 +474,7 @@ def scan(library: list[ProfileHmm], seq: Sequence) -> DomainScanResult:
     DEFAULT_REPORT_THRESHOLD are dropped.
     """
     if not library:
-        raise EmptyLibraryError("domain scan with an empty profile library")
+        raise SchemaError("domain scan with an empty profile library")
     length_factor = max(1.0, seq.length / 100.0)
     hits: list[DomainHit] = []
     for hmm in library:

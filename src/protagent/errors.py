@@ -1,94 +1,47 @@
 """Exception types shared across the package, and the readers of input
-files that raise them: `read_text` for any UTF-8 file, `read_json` and
-`read_jsonl` for JSON and JSON-lines files, `check_unique`, the one check for
-a key that an input repeats, and `check_utf8`, which refuses decoded JSON
-holding a string that UTF-8 cannot encode."""
+files that raise them: `read_text` for any UTF-8 file, `parse_file` for a
+text format with its own parser, `read_json` and `read_jsonl` for JSON and
+JSON-lines files, `check_unique`, the one check for a key that an input
+repeats, and `check_utf8`, which refuses decoded JSON holding a string that
+UTF-8 cannot encode. `write_json` is the one writer of JSON files."""
 
 import json
 import re
 
 
 class ProtAgentError(Exception):
-    """Base class for all package errors."""
-
-
-class EmptyInputError(ProtAgentError):
-    """Raised when an input that must contain data is empty."""
-
-
-class EmptySequenceError(ProtAgentError):
-    """Raised when a sequence is empty after normalization."""
-
-
-class InvalidResidueError(ProtAgentError):
-    """Raised when a sequence contains a character outside the alphabet."""
-
-    def __init__(self, message, char=None, line=None):
-        super().__init__(message)
-        self.char = char
-        self.line = line
-
-
-class UndefinedCompositionError(ProtAgentError):
-    """Raised when a composition statistic is undefined (e.g. all-X sequence)."""
-
-
-class EmptyIndexError(ProtAgentError):
-    """Raised when a homology search is attempted against an empty index."""
-
-
-class MissingAnnotationError(ProtAgentError):
-    """Raised when a hit accession has no annotation in the store."""
-
-
-class ProfileParseError(ProtAgentError):
-    """Raised for malformed profile-HMM library text."""
-
-
-class MalformedProfileError(ProfileParseError):
-    """Raised when a profile record is missing required header fields."""
-
-
-class TruncatedProfileError(ProfileParseError):
-    """Raised when a profile has fewer emission rows than its stated length."""
-
-
-class EmptyLibraryError(ProtAgentError):
-    """Raised when a domain scan is attempted with no profiles."""
-
-
-class DegenerateWindowError(ProtAgentError):
-    """Raised when a sliding window is too large for the sequence."""
+    """Base class for all package errors: what the CLI boundary, the tool
+    executor and the readers catch."""
 
 
 class SchemaError(ProtAgentError):
-    """Raised when an on-disk record is missing required fields."""
-
-
-class AlignmentMismatchError(ProtAgentError):
-    """Raised when evaluation cases and session results cannot be paired."""
-
-
-class EmptyReferenceError(ProtAgentError):
-    """Raised when a metric reference tokenizes to nothing."""
+    """An input (a file, record, sequence, profile, setting or call
+    argument) breaks a rule."""
 
 
 class BackendError(ProtAgentError):
-    """Raised when a chat backend cannot produce an assistant message."""
+    """A chat backend cannot produce an assistant message; the session ends
+    with `backend_error`."""
 
 
-class ConfigError(ProtAgentError):
-    """Raised for unusable runtime configuration."""
-
-
-def read_text(path: str, error: type[ProtAgentError] = SchemaError) -> str:
+def read_text(path: str) -> str:
     """The text of a UTF-8 file, with universal newlines. A file that is not
-    UTF-8 raises `error` naming the file; OSError passes through."""
+    UTF-8 raises SchemaError naming the file; OSError passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise error(f"{path} is not UTF-8 text: {exc}") from exc
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def parse_file(path: str, parse):
+    """`parse(text)` of a UTF-8 file; a SchemaError from `parse` is raised
+    again prefixed "{path}: ", as read_json does."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def check_unique(seen: dict, key, at: str, name: str) -> None:
@@ -178,3 +131,10 @@ def read_json(path: str):
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return obj
+
+
+def write_json(path: str, obj) -> None:
+    """Write obj as a JSON file: UTF-8, indented by 2, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .agent import SessionResult
-from .errors import AlignmentMismatchError, EmptyReferenceError, SchemaError, check_unique, read_jsonl
+from .errors import SchemaError, check_unique, read_jsonl
 from .seq import Sequence, validate_sequence
 from .templates import COLD_START_TEMPLATE
 
@@ -84,7 +84,7 @@ def rouge1_recall(reference: str, prediction: str) -> float:
     """Clipped unigram coverage of the reference."""
     ref_tokens = tokenize(reference)
     if not ref_tokens:
-        raise EmptyReferenceError("reference tokenizes to nothing")
+        raise SchemaError("reference tokenizes to nothing")
     ref_counts = Counter(ref_tokens)
     pred_counts = Counter(tokenize(prediction))
     covered = sum(min(n, pred_counts[tok]) for tok, n in ref_counts.items())
@@ -108,7 +108,7 @@ def rougeL_recall(reference: str, prediction: str) -> float:
     """LCS(reference, prediction) normalized by reference token count."""
     ref_tokens = tokenize(reference)
     if not ref_tokens:
-        raise EmptyReferenceError("reference tokenizes to nothing")
+        raise SchemaError("reference tokenizes to nothing")
     return lcs_length(ref_tokens, tokenize(prediction)) / len(ref_tokens)
 
 
@@ -142,12 +142,12 @@ def evaluate_run(cases: list[QaCase], results: dict[str, SessionResult]) -> Eval
     """Score one paradigm run; per-task means plus an unweighted overall mean."""
     extra = set(results) - {c.case_id for c in cases}
     if extra:
-        raise AlignmentMismatchError(f"results for unknown case(s): {', '.join(sorted(extra))}")
+        raise SchemaError(f"results for unknown case(s): {', '.join(sorted(extra))}")
     scored = []
     failures = 0
     for case in cases:
         if case.case_id not in results:
-            raise AlignmentMismatchError(f"no session result for case {case.case_id!r}")
+            raise SchemaError(f"no session result for case {case.case_id!r}")
         result = results[case.case_id]
         if result.final_answer is None:
             failures += 1

@@ -26,10 +26,6 @@ DEFAULT_MAX_CALLS = 10
 DEFAULT_TIMEOUT_S = 30.0
 
 
-class DuplicateToolError(ProtAgentError):
-    """Raised when a tool name is registered twice."""
-
-
 class ToolError(ProtAgentError):
     """A tool call that fails with a named envelope error kind: raised by
     argument resolution and by handlers (an argument only the handler can
@@ -126,7 +122,7 @@ class ToolRegistry:
 
     def register(self, descriptor: ToolDescriptor) -> None:
         if descriptor.name in self._tools:
-            raise DuplicateToolError(f"tool {descriptor.name!r} already registered")
+            raise SchemaError(f"tool {descriptor.name!r} already registered")
         self._tools[descriptor.name] = descriptor
 
     def get(self, name: str) -> ToolDescriptor | None:
@@ -252,7 +248,7 @@ def build_standard_registry(
         if not 0 <= min_seq_id <= 1:
             raise ToolError("invalid_arguments", f"min_seq_id must be in [0, 1], got {min_seq_id!r}")
         if index is None or annotations is None:
-            raise ProtAgentError("no reference store configured for homology search")
+            raise SchemaError("no reference store configured for homology search")
         hit = homology.search_best_hit(index, args["sequence"], min_seq_id=min_seq_id)
         if hit is None:
             return {"best_hit": None, "uniprot_annotation": None}
@@ -260,7 +256,7 @@ def build_standard_registry(
 
     def domains_handler(args, ctx):
         if hmm_library is None:
-            raise ProtAgentError("no profile library configured for domain scan")
+            raise SchemaError("no profile library configured for domain scan")
         return domains.scan(hmm_library, args["sequence"]).to_payload()
 
     def topology_handler(args, ctx):

@@ -25,7 +25,6 @@ first path from (1, 1), which no other can beat.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import sys
@@ -36,8 +35,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from .blosum62 import BLOSUM62
-from .errors import EmptyIndexError, MissingAnnotationError, ProtAgentError, SchemaError, check_unique, read_json, read_jsonl, read_text
-from .seq import Sequence, parse_fasta, validate_sequence
+from .errors import ProtAgentError, SchemaError, check_unique, parse_file, read_json, read_jsonl, write_json
+from .seq import FastaRecord, Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
 
@@ -220,7 +219,7 @@ def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
     sorts the array.
     """
     if not entries:
-        raise EmptyIndexError("cannot build an index over zero entries")
+        raise SchemaError("cannot build an index over zero entries")
     if len(entries) > MAX_ENTRIES:
         raise SchemaError(f"a store holds at most {MAX_ENTRIES} entries, got {len(entries)}")
     for entry in entries:
@@ -556,7 +555,7 @@ def search_best_hit(index: ReferenceIndex, query: Sequence, min_seq_id: float = 
     passes min_seq_id, and that one is the hit; the rest are never aligned.
     """
     if not index.entries:
-        raise EmptyIndexError("search against an empty index")
+        raise SchemaError("search against an empty index")
     ordinals = _candidate_ordinals(index, query)
     if not ordinals:
         return None
@@ -589,7 +588,7 @@ def search_best_hit(index: ReferenceIndex, query: Sequence, min_seq_id: float = 
 def make_evidence(hit: BestHit, annotations: dict[str, AnnotationRecord]) -> dict:
     """Best-hit plus annotation payload, the tool's evidence object."""
     if hit.target not in annotations:
-        raise MissingAnnotationError(f"no annotation stored for accession {hit.target!r}")
+        raise SchemaError(f"no annotation stored for accession {hit.target!r}")
     return {
         "best_hit": hit.to_payload(),
         "uniprot_annotation": annotations[hit.target].to_payload(),
@@ -624,9 +623,7 @@ def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
             for e in entries
         ]
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(path, obj)
 
 
 def load_built_store(path: str) -> list[ReferenceEntry]:
@@ -659,23 +656,27 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
     return entries
 
 
+def _numbered_records(text: str) -> list[tuple[FastaRecord, int]]:
+    """parse_fasta's records, each with the line number of its header."""
+    # parse_fasta makes one record per header line, in order.
+    header_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith(">")]
+    return list(zip(parse_fasta(text), header_lines))
+
+
 def load_reference_store(fasta_path: str, annotations_path: str) -> list[ReferenceEntry]:
     """Pair a FASTA file with its JSON-lines annotations by accession; a
     repeated FASTA id is a SchemaError naming both header lines."""
-    text = read_text(fasta_path)
-    records = parse_fasta(text)
-    # parse_fasta makes one record per header line, in order.
-    header_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith(">")]
+    records = parse_file(fasta_path, _numbered_records)
     annotations = load_annotations(annotations_path)
     entries = []
     first_line: dict[str, str] = {}
-    for rec, line_no in zip(records, header_lines):
+    for rec, line_no in records:
         acc = rec.sequence.id
         try:
             check_unique(first_line, acc, f"on line {line_no}", "id")
         except SchemaError as exc:
             raise SchemaError(f"FASTA line {line_no}: {exc}") from exc
         if acc not in annotations:
-            raise MissingAnnotationError(f"FASTA entry {acc!r} has no annotation record")
+            raise SchemaError(f"FASTA entry {acc!r} has no annotation record")
         entries.append(ReferenceEntry(accession=acc, sequence=rec.sequence, annotation=annotations[acc]))
     return entries

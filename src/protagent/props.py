@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import UndefinedCompositionError
+from .errors import SchemaError
 from .seq import Sequence
 
 HYDROPHOBIC_SET = frozenset("ACFILMVW")
@@ -66,7 +66,7 @@ def low_complexity_index(seq: Sequence) -> float:
     counts = Counter(c for c in seq.residues if c != "X")
     total = sum(counts.values())
     if total == 0:
-        raise UndefinedCompositionError(
+        raise SchemaError(
             f"sequence {seq.id!r} is entirely X; composition entropy undefined"
         )
     entropy = -sum((n / total) * math.log2(n / total) for n in counts.values())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInputError, EmptySequenceError, InvalidResidueError
+from .errors import SchemaError
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 ALPHABET = frozenset(CANONICAL_RESIDUES) | {"X"}
@@ -26,12 +26,12 @@ class Sequence:
 
     def __post_init__(self):
         if not self.id or any(c.isspace() for c in self.id):
-            raise EmptySequenceError(f"sequence id must be nonempty without whitespace, got {self.id!r}")
+            raise SchemaError(f"sequence id must be nonempty without whitespace, got {self.id!r}")
         if not self.residues:
-            raise EmptySequenceError(f"sequence {self.id!r} has no residues")
+            raise SchemaError(f"sequence {self.id!r} has no residues")
         for c in self.residues:
             if c not in ALPHABET:
-                raise InvalidResidueError(f"invalid residue {c!r} in sequence {self.id!r}", char=c)
+                raise SchemaError(f"invalid residue {c!r} in sequence {self.id!r}")
 
     @property
     def length(self) -> int:
@@ -63,7 +63,7 @@ def validate_sequence(seq_id: str, raw: str) -> Sequence:
     """
     cleaned = "".join(raw.split()).upper()
     if not cleaned:
-        raise EmptySequenceError(f"sequence {seq_id!r} is empty after stripping whitespace")
+        raise SchemaError(f"sequence {seq_id!r} is empty after stripping whitespace")
     return Sequence(id=seq_id, residues=cleaned)
 
 
@@ -75,7 +75,7 @@ def parse_fasta(text: str) -> list[FastaRecord]:
     internal whitespace. LF and CRLF line endings are both accepted.
     """
     if not text.strip():
-        raise EmptyInputError("FASTA input is empty")
+        raise SchemaError("FASTA input is empty")
 
     records: list[FastaRecord] = []
     header: str | None = None
@@ -86,11 +86,11 @@ def parse_fasta(text: str) -> list[FastaRecord]:
             return
         trimmed = header.strip()
         if not trimmed:
-            raise EmptySequenceError(f"empty FASTA header before line {line_no}")
+            raise SchemaError(f"empty FASTA header before line {line_no}")
         seq_id = trimmed.split()[0]
         body = "".join(chunks)
         if not body:
-            raise EmptySequenceError(f"FASTA record {seq_id!r} has an empty body")
+            raise SchemaError(f"FASTA record {seq_id!r} has an empty body")
         records.append(FastaRecord(header=trimmed, sequence=Sequence(seq_id, body)))
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -104,12 +104,10 @@ def parse_fasta(text: str) -> list[FastaRecord]:
             if not stripped:
                 continue
             if header is None:
-                raise InvalidResidueError(f"sequence data before any header at line {line_no}", line=line_no)
+                raise SchemaError(f"sequence data before any header at line {line_no}")
             for c in stripped:
                 if c not in ALPHABET:
-                    raise InvalidResidueError(
-                        f"invalid residue {c!r} at line {line_no}", char=c, line=line_no
-                    )
+                    raise SchemaError(f"invalid residue {c!r} at line {line_no}")
             chunks.append(stripped)
     flush(line_no=len(text.splitlines()) + 1)
     return records

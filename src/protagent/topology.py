@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DegenerateWindowError
+from .errors import SchemaError
 from .seq import Sequence
 
 KYTE_DOOLITTLE = {
@@ -63,7 +63,7 @@ def window_means(seq: Sequence) -> list[float]:
 def predict_topology(seq: Sequence) -> TopologyPrediction:
     """Per-residue topology states over { '.', 'H', 'h' }."""
     if DEFAULT_WINDOW > 2 * seq.length:
-        raise DegenerateWindowError(f"window {DEFAULT_WINDOW} too large for sequence of length {seq.length}")
+        raise SchemaError(f"window {DEFAULT_WINDOW} too large for sequence of length {seq.length}")
     states = [
         "H" if m >= DEFAULT_STRONG_THRESHOLD else "h" if m >= DEFAULT_WEAK_THRESHOLD else "."
         for m in window_means(seq)

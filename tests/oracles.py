@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from protagent.blosum62 import BLOSUM62
 from protagent.domains import RESIDUE_ORDER, SCALE, ProfileHmm
-from protagent.errors import EmptyIndexError
+from protagent.errors import SchemaError
 from protagent.homology import (
     DEFAULT_MIN_SEQ_ID,
     KMER_ALPHABET,
@@ -390,7 +390,7 @@ def reference_search_best_hit(
     every prefilter candidate aligned in full, then the ones passing
     min_seq_id ranked."""
     if not index.entries:
-        raise EmptyIndexError("search against an empty index")
+        raise SchemaError("search against an empty index")
     ordinals = _candidate_ordinals(index, query)
     if not ordinals:
         return None

@@ -387,6 +387,27 @@ def test_non_utf8_input_file_is_a_message(runner, tmp_path, args):
     assert f"{bad} is not UTF-8 text" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, text, message",
+    [
+        (["tools", "run", "seq_basic_props", "--sequence-file", "{bad}"], "MLKV\n",
+         "sequence data before any header at line 1"),
+        (["tools", "run", "pfam_hmmscan", "--sequence", MSCL_RESIDUES, "--hmm-library", "{bad}"], "WHAT IS THIS\n",
+         "expected record header at line 1"),
+        (["index", "build", "--fasta", "{bad}", "--annotations", data_path("store.annotations.jsonl"),
+          "--out", "{tmp}/store.json"], ">A1\nML1V\n", "invalid residue '1' at line 2"),
+    ],
+    ids=["sequence-file", "hmm-library", "index-build-fasta"],
+)
+def test_malformed_text_input_names_the_file(runner, tmp_path, args, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, [a.format(tmp=tmp_path, bad=bad) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception  # a message, not a traceback
+    assert f"Error: {bad}: {message}" in result.output
+
+
 def test_synth_out_into_missing_directory_is_a_message(runner, tmp_path):
     out = tmp_path / "absent" / "p.jsonl"
     result = runner.invoke(main, ["synth", "--cases", data_path("cases.jsonl"), "--out", str(out)])

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from protagent.config import build_config, load_config_file
-from protagent.errors import ConfigError
+from protagent.errors import SchemaError
 
 
 @pytest.mark.parametrize(
@@ -22,7 +22,7 @@ from protagent.errors import ConfigError
 )
 def test_out_of_range_value_is_config_error(field, value):
     cfg = build_config(None, script="script.jsonl", **{field: value})
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(SchemaError, match=f"{field} must be"):
         cfg.validate()
 
 
@@ -33,12 +33,12 @@ def test_smallest_allowed_values_validate():
 def test_out_of_range_value_in_config_file_is_config_error(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("script = s.jsonl\ntemperature = nan\n")
-    with pytest.raises(ConfigError, match="temperature"):
+    with pytest.raises(SchemaError, match="temperature must be a finite number >= 0, got nan"):
         build_config(str(path)).validate()
 
 
 def test_repeated_config_key_names_both_lines(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("max_turns = 3\n# a comment\nscript = s.jsonl\nmax_turns = 9\n")
-    with pytest.raises(ConfigError, match=r"run.conf:4: duplicate config key 'max_turns' \(first on line 1\)"):
+    with pytest.raises(SchemaError, match=r"run.conf:4: duplicate config key 'max_turns' \(first on line 1\)"):
         load_config_file(str(path))

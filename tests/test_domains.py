@@ -15,12 +15,7 @@ from protagent.domains import (
     viterbi_score,
     write_hmm_library,
 )
-from protagent.errors import (
-    EmptyLibraryError,
-    MalformedProfileError,
-    ProfileParseError,
-    TruncatedProfileError,
-)
+from protagent.errors import SchemaError
 from protagent.seq import CANONICAL_RESIDUES, Sequence
 
 
@@ -50,14 +45,14 @@ def test_serialize_parse_is_identity_on_bundled_library(hmm_library):
 
 def test_parse_rejects_missing_leng():
     text = "HMMER3/f x\nNAME  A\nHMM  ...\n     ...\n//\n"
-    with pytest.raises(MalformedProfileError):
+    with pytest.raises(SchemaError, match="record 'A': missing LENG"):
         parse_hmm_library(text)
 
 
 def test_parse_rejects_missing_terminator():
     text = library_text()
     truncated = text[: text.rindex("//")]
-    with pytest.raises(ProfileParseError):
+    with pytest.raises(SchemaError, match="missing '//' terminator"):
         parse_hmm_library(truncated)
 
 
@@ -66,18 +61,18 @@ def test_parse_rejects_wrong_row_count():
     lines = text.splitlines()
     # drop the last node block (three lines before the final '//')
     del lines[-4:-1]
-    with pytest.raises((TruncatedProfileError, ProfileParseError)):
+    with pytest.raises(SchemaError, match="emission rows for LENG"):
         parse_hmm_library("\n".join(lines) + "\n")
 
 
 def test_parse_rejects_non_numeric_value():
     text = library_text().replace("0.", "q.", 1)
-    with pytest.raises(ProfileParseError):
+    with pytest.raises(SchemaError, match=r"non-numeric field 'q\."):
         parse_hmm_library(text)
 
 
 def test_parse_rejects_junk_header():
-    with pytest.raises(ProfileParseError):
+    with pytest.raises(SchemaError, match="expected record header at line 1, got 'WHAT IS THIS'"):
         parse_hmm_library("WHAT IS THIS\n")
 
 
@@ -85,7 +80,7 @@ def test_profile_validates_emission_normalization():
     rng = random.Random(1)
     p = random_profile(rng, "P", 2)
     bad_rows = (p.match_emissions[0], tuple(v + 0.5 for v in p.match_emissions[1]))
-    with pytest.raises(MalformedProfileError):
+    with pytest.raises(SchemaError, match="match emissions at node 2 sum to"):
         ProfileHmm(
             name="P",
             accession="PF1.1",
@@ -449,23 +444,39 @@ def test_profile_rejects_scores_viterbi_cannot_use():
         transitions=p.transitions,
     )
     nan_row = (math.nan,) + p.match_emissions[0][1:]
-    for bad in (
-        {"match_emissions": (nan_row, p.match_emissions[1])},
-        {"transitions": (p.transitions[0], (math.nan,) + p.transitions[1][1:])},
-        {"transitions": (p.transitions[0], (-math.inf,) + p.transitions[1][1:])},
+    bad_transition = "transition at node 2 is NaN or below 0"
+    for bad, message in (
+        ({"match_emissions": (nan_row, p.match_emissions[1])}, "match emissions at node 1 sum to nan"),
+        ({"transitions": (p.transitions[0], (math.nan,) + p.transitions[1][1:])}, bad_transition),
+        ({"transitions": (p.transitions[0], (-math.inf,) + p.transitions[1][1:])}, bad_transition),
         # a probability above 1: the kernel needs every transition score <= 0
-        {"transitions": (p.transitions[0], (-1.0,) + p.transitions[1][1:])},
-        {"background": (0.0,) + tuple([1.0 / 19] * 19)},
+        ({"transitions": (p.transitions[0], (-1.0,) + p.transitions[1][1:])}, bad_transition),
+        ({"background": (0.0,) + tuple([1.0 / 19] * 19)}, "background needs 20 positive finite frequencies"),
     ):
-        with pytest.raises(MalformedProfileError):
+        with pytest.raises(SchemaError, match=message):
             ProfileHmm(**{**fields, **bad})
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("COMPO", "COMPO row at line 9 has a value far below 0"), ("1", "match emissions at node 1 sum to inf")],
+    ids=["compo", "match"],
+)
+def test_parse_rejects_value_whose_probability_overflows(row, message):
+    lines = write_hmm_library([random_profile(random.Random(5), "P", 2)]).splitlines()
+    i = next(n for n, line in enumerate(lines) if line.split()[0] == row)
+    tokens = lines[i].split()
+    tokens[1] = "-1000"  # exp(1000) overflows a float
+    lines[i] = "  ".join(tokens)
+    with pytest.raises(SchemaError, match=message):
+        parse_hmm_library("\n".join(lines) + "\n")
 
 
 def test_parse_rejects_zero_background_frequency():
     text = library_text()
     head, compo_and_rest = text.split("COMPO", 1)
     first_value = compo_and_rest.split()[0]
-    with pytest.raises(MalformedProfileError):
+    with pytest.raises(SchemaError, match="background needs 20 positive finite frequencies"):
         parse_hmm_library(head + "COMPO" + compo_and_rest.replace(first_value, "*", 1))
 
 
@@ -505,7 +516,7 @@ def test_select_ties_break_on_accession():
 
 
 def test_scan_empty_library_rejected(mscl_seq):
-    with pytest.raises(EmptyLibraryError):
+    with pytest.raises(SchemaError, match="domain scan with an empty profile library"):
         scan([], mscl_seq)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from protagent.executor import (
     DEFAULT_TIMEOUT_S,
-    DuplicateToolError,
     ParamSpec,
     SessionContext,
     SessionLimits,
@@ -48,7 +47,7 @@ def echo_registry() -> ToolRegistry:
 
 def test_duplicate_registration_rejected():
     registry = echo_registry()
-    with pytest.raises(DuplicateToolError):
+    with pytest.raises(SchemaError, match="tool 'echo' already registered"):
         registry.register(
             ToolDescriptor(name="echo", description="", parameters={}, handler=lambda a, c: {})
         )

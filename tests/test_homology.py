@@ -21,7 +21,7 @@ from oracles import (
 )
 from protagent import homology
 from protagent.blosum62 import BLOSUM62, score
-from protagent.errors import EmptyIndexError, MissingAnnotationError, SchemaError
+from protagent.errors import SchemaError
 from protagent.homology import (
     MAX_ENTRIES,
     MAX_ENTRY_RESIDUES,
@@ -456,7 +456,7 @@ def test_bit_score_and_evalue_formulas():
 
 
 def test_build_index_rejects_empty_store():
-    with pytest.raises(EmptyIndexError):
+    with pytest.raises(SchemaError, match="cannot build an index over zero entries"):
         build_index([])
 
 
@@ -514,7 +514,7 @@ def test_make_evidence_shape(store_index, store_annotations):
 def test_make_evidence_missing_annotation(store_index):
     mscl = store_index.entries[0].sequence
     hit = search_best_hit(store_index, Sequence(id="query", residues=mscl.residues))
-    with pytest.raises(MissingAnnotationError):
+    with pytest.raises(SchemaError, match="no annotation stored for accession 'Q4L656'"):
         make_evidence(hit, {})
 
 
@@ -808,7 +808,7 @@ def test_load_reference_store_requires_annotations(tmp_path):
     fasta.write_text(">A1\nMLKEFKEF\n")
     ann = tmp_path / "a.jsonl"
     ann.write_text(json.dumps({"accessions": ["OTHER"], "protein_name": "x"}) + "\n")
-    with pytest.raises(MissingAnnotationError):
+    with pytest.raises(SchemaError, match="FASTA entry 'A1' has no annotation record"):
         homology.load_reference_store(str(fasta), str(ann))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protagent.errors import UndefinedCompositionError
+from protagent.errors import SchemaError
 from protagent.props import (
     HYDROPHOBIC_SET,
     compute_basic_props,
@@ -60,7 +60,7 @@ def test_lci_ignores_x():
 
 
 def test_lci_all_x_rejected():
-    with pytest.raises(UndefinedCompositionError):
+    with pytest.raises(SchemaError, match="'t' is entirely X; composition entropy undefined"):
         low_complexity_index(seq("XXXX"))
 
 

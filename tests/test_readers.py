@@ -1,11 +1,15 @@
-"""Every input reader either returns or raises a ProtAgentError, whatever
-JSON it is given. The inputs are mostly objects with the reader's own keys
-and well-typed values, about half of them with one fault (a mistyped,
-missing, repeated or foreign key), among blank, non-object and non-JSON
-lines. The trace of a session run on any script that its reader accepts, or
-on any remote reply, is saved and read back equal."""
+"""Every input reader either returns or raises a SchemaError, whatever it
+is given. The JSON inputs are mostly objects with the reader's own keys and
+well-typed values, about half of them with one fault (a mistyped, missing,
+repeated or foreign key), among blank, non-object and non-JSON lines. The
+text inputs (a profile library, a FASTA file, a config file) are mostly
+well-formed lines with a few faults. The trace of a session run on any
+script that its reader accepts, or on any remote reply, is saved and read
+back equal."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -13,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MSCL_RESIDUES, http_backend, http_tool_call
+from oracles import random_profile
 from protagent.agent import load_trace, render_trace, run_tool_agent, save_trace
 from protagent.backends import ScriptedBackend
 from protagent.cli import main
-from protagent.errors import ProtAgentError, SchemaError
+from protagent.config import RunConfig, load_config_file
+from protagent.domains import parse_hmm_library, write_hmm_library
+from protagent.errors import SchemaError, parse_file
 from protagent.evaluation import load_benchmark
 from protagent.executor import build_standard_registry
-from protagent.homology import load_annotations, load_built_store
+from protagent.homology import load_annotations, load_built_store, load_reference_store
 from protagent.seq import Sequence
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -134,6 +141,47 @@ TRACE = {
 }
 
 
+HMM_LINES = write_hmm_library([random_profile(random.Random(5), "P", 2)]).splitlines()
+# A token of a profile line: a number, "*", a word, or any short text.
+hmm_token = st.sampled_from(["*", "0", "-0.5", "-1000", "1e400", "nan", "-inf", "x", "LENG", "//"]) | short_text
+
+
+@st.composite
+def hmm_library(draw):
+    """The text of a library of one or two valid two-node profiles, with up
+    to three faults: a line dropped or repeated, or one of its tokens
+    replaced."""
+    lines = HMM_LINES * draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(["drop", "repeat", "token"]))
+        if fault == "drop":
+            del lines[i]
+        elif fault == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(hmm_token)
+            lines[i] = "  ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+# FASTA lines: mostly a header naming an annotated accession or residues,
+# else an empty header, a blank line or a bad residue.
+fasta = st.lists(
+    mostly(accession.map(">{}".format) | st.sampled_from(["MLKV", "ml kv"]),
+           st.sampled_from([">", "> A1", "", "  ", "MLBV", "M1"])),
+    max_size=6,
+).map("\n".join)
+CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+config_value = st.integers().map(str) | st.floats().map(repr) | short_text
+config_line = mostly(
+    st.tuples(st.sampled_from(CONFIG_KEYS) | short_text, config_value).map(" = ".join),
+    st.sampled_from(["", "# comment", "junk", "=", "a = b = c"]) | short_text,
+)
+
 QUERY = Sequence(id="query", residues=MSCL_RESIDUES)
 TOOLS = build_standard_registry()  # no store or library: those tools answer with error envelopes
 
@@ -152,12 +200,12 @@ def assert_round_trips(trace, path: str) -> None:
 
 def load(reader, path: str, text: str):
     """What `reader` returns for a file holding `text`, or None for a
-    ProtAgentError; any other exception fails the test."""
+    SchemaError; any other exception fails the test."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     try:
         return reader(path)
-    except ProtAgentError:
+    except SchemaError:
         return None
 
 
@@ -210,6 +258,31 @@ def test_load_annotations_keeps_every_given_field(input_path, text):
 @given(json_file(st.fixed_dictionaries({"entries": st.lists(obj(STORE_ENTRY), max_size=3)})))
 def test_load_built_store_returns_or_raises_typed(input_path, text):
     load(load_built_store, input_path, text)
+
+
+@PROPERTY
+@given(hmm_library())
+def test_parse_hmm_library_returns_or_raises_typed(input_path, text):
+    library = load(lambda path: parse_file(path, parse_hmm_library), input_path, text)
+    if library is not None:
+        assert write_hmm_library(library) == write_hmm_library(parse_hmm_library(write_hmm_library(library)))
+
+
+@PROPERTY
+@given(fasta, jsonl(ANNOTATION | {"accession": accession}))
+def test_load_reference_store_returns_or_raises_typed(input_path, fasta_text, annotations):
+    annotations_path = input_path + ".jsonl"
+    with open(annotations_path, "w", encoding="utf-8") as fh:
+        fh.write(annotations)
+    load(lambda path: load_reference_store(path, annotations_path), input_path, fasta_text)
+
+
+@PROPERTY
+@given(st.lists(config_line, max_size=5).map("\n".join))
+def test_load_config_file_returns_or_raises_typed(input_path, text):
+    values = load(load_config_file, input_path, text)
+    if values is not None:
+        assert set(values) <= set(CONFIG_KEYS)
 
 
 @PROPERTY

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protagent.errors import EmptyInputError, EmptySequenceError, InvalidResidueError
+from protagent.errors import SchemaError
 from protagent.seq import (
     CANONICAL_RESIDUES,
     FastaRecord,
@@ -27,12 +27,12 @@ def test_validate_uppercases_and_strips_whitespace():
 
 
 def test_validate_rejects_empty():
-    with pytest.raises(EmptySequenceError):
+    with pytest.raises(SchemaError, match="'s1' is empty after stripping whitespace"):
         validate_sequence("s1", "   ")
 
 
 def test_validate_rejects_bad_residue():
-    with pytest.raises(InvalidResidueError) as exc:
+    with pytest.raises(SchemaError, match="invalid residue 'B' in sequence 's1'") as exc:
         validate_sequence("s1", "MLKB")
     assert "B" in str(exc.value)
 
@@ -51,22 +51,22 @@ def test_parse_fasta_crlf_and_lowercase():
 
 
 def test_parse_fasta_rejects_empty_input():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(SchemaError, match="FASTA input is empty"):
         parse_fasta("")
 
 
 def test_parse_fasta_rejects_sequence_before_header():
-    with pytest.raises(InvalidResidueError):
+    with pytest.raises(SchemaError, match="sequence data before any header at line 1"):
         parse_fasta("MLKV\n")
 
 
 def test_parse_fasta_rejects_headerless_record():
-    with pytest.raises(EmptySequenceError):
+    with pytest.raises(SchemaError, match="FASTA record 'a' has an empty body"):
         parse_fasta(">a\n>b\nML\n")
 
 
 def test_invalid_residue_reports_line():
-    with pytest.raises(InvalidResidueError):
+    with pytest.raises(SchemaError, match="invalid residue '1' at line 2"):
         parse_fasta(">a\nML1V\n")
 
 

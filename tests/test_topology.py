@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protagent.errors import DegenerateWindowError
+from protagent.errors import SchemaError
 from protagent.seq import CANONICAL_RESIDUES, Sequence
 from protagent.topology import (
     DEFAULT_STRONG_THRESHOLD,
@@ -57,7 +57,7 @@ def test_window_must_be_odd_and_big_enough():
 
 
 def test_degenerate_window_rejected():
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(SchemaError, match="window 19 too large for sequence of length 9"):
         predict_topology(seq("L" * 9))
     assert predict_topology(seq("L" * 10)).tm_signal_letter_hits == 10
 
