@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from .backends import ChatMessage, DecodingParams, LlmBackend, calls_from_json
-from .errors import BackendError, SchemaError, read_json, write_json
+from .errors import BackendError, SchemaError, read_json, to_json, write_json
 from .executor import SessionContext, SessionLimits, ToolCall, ToolRegistry, invoke
 from .seq import Sequence
 from .templates import BASELINE_TEMPLATE, RAG_TEMPLATE, TOOL_AGENT_TEMPLATE, sequence_block
@@ -55,15 +55,6 @@ class ConversationTrace:
     messages: tuple[ChatMessage, ...]
     audit: tuple[dict, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "created_at": self.created_at,
-            "paradigm": self.paradigm,
-            "messages": [_message_to_json(m) for m in self.messages],
-            "audit": list(self.audit),
-        }
-
 
 @dataclass(frozen=True)
 class SessionResult:
@@ -72,19 +63,6 @@ class SessionResult:
     final_answer: str | None
     stop_reason: str  # answer_found | max_turns | backend_error | budget_exhausted
     tool_calls_made: int
-
-
-def _message_to_json(m: ChatMessage) -> dict:
-    return {
-        "role": m.role,
-        "content": m.content,
-        "tool_calls": [
-            {"call_id": tc.call_id, "name": tc.name, "arguments": tc.arguments} for tc in m.tool_calls
-        ]
-        if m.tool_calls
-        else None,
-        "tool_call_id": m.tool_call_id,
-    }
 
 
 def _message_from_json(obj: dict) -> ChatMessage:
@@ -99,7 +77,7 @@ def _message_from_json(obj: dict) -> ChatMessage:
 
 
 def trace_from_json(obj: dict) -> ConversationTrace:
-    """Rebuild a trace from its to_json form; TypeError for a mistyped
+    """Rebuild a trace from its `to_json(trace)` form; TypeError for a mistyped
     session_id, created_at, paradigm or audit (a list of objects)."""
     for key in ("session_id", "created_at", "paradigm"):
         if not isinstance(obj[key], str):
@@ -117,11 +95,12 @@ def trace_from_json(obj: dict) -> ConversationTrace:
 
 
 def load_trace(path: str) -> ConversationTrace:
-    """Read a trace written by save_trace; SchemaError for any file that is
-    not one (one that read_json refuses, a missing or mistyped field, a
-    message that breaks ChatMessage's or ToolCall's rules)."""
+    """Read a trace written by save_trace; SchemaError naming the file once
+    for any file that is not one (one that read_json refuses, a missing or
+    mistyped field, a message that breaks ChatMessage's or ToolCall's rules)."""
+    obj = read_json(path)
     try:
-        return trace_from_json(read_json(path))
+        return trace_from_json(obj)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path} is not a saved trace: {type(exc).__name__}: {exc}") from exc
     except SchemaError as exc:
@@ -129,7 +108,7 @@ def load_trace(path: str) -> ConversationTrace:
 
 
 def save_trace(trace: ConversationTrace, path: str) -> None:
-    write_json(path, trace.to_json())
+    write_json(path, to_json(trace))
 
 
 def render_trace(trace: ConversationTrace) -> str:
@@ -159,18 +138,7 @@ def _default_now() -> str:
 
 
 def _audit_to_json(ctx: SessionContext) -> tuple[dict, ...]:
-    return tuple(
-        {
-            "call": {"call_id": call.call_id, "name": call.name, "arguments": call.arguments},
-            "response": {
-                "call_id": resp.call_id,
-                "ok": resp.ok,
-                "payload": resp.payload,
-                "elapsed": resp.elapsed,
-            },
-        }
-        for call, resp in ctx.audit
-    )
+    return tuple({"call": to_json(call), "response": to_json(resp)} for call, resp in ctx.audit)
 
 
 def _finish(paradigm, session_id, created_at, messages, ctx, answer, stop_reason, calls_made) -> SessionResult:

@@ -221,11 +221,7 @@ def trace():
 @click.argument("path")
 def trace_show(path):
     """Render a stored trace in the human-readable chat layout."""
-    try:
-        loaded = agent.load_trace(path)
-    except (ProtAgentError, OSError) as exc:
-        raise click.ClickException(f"cannot read trace {path}: {exc}")
-    click.echo(agent.render_trace(loaded), nl=False)
+    click.echo(agent.render_trace(agent.load_trace(path)), nl=False)
 
 
 @main.command()

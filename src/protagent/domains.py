@@ -28,14 +28,16 @@ Library format, per record:
     //
 
 All stored values are negative natural logs of probabilities; '*' means
-probability zero. Unrecognized header keys are ignored.
+probability zero. Unrecognized header keys are ignored. The HMM line and the
+transition line name the order of the columns below them, so each must be
+exactly as shown; any other order is refused rather than read as this one.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SchemaError
@@ -45,6 +47,10 @@ RESIDUE_ORDER = tuple(sorted(CANONICAL_RESIDUES))
 _LN2 = math.log(2)
 
 TRANSITION_ORDER = ("MM", "MI", "MD", "IM", "II", "DM", "DD")
+
+# The column headers of a library record: the HMM line and the line below it.
+_RESIDUE_HEADER = ["HMM", *RESIDUE_ORDER]
+_TRANSITION_HEADER = [f"{a}->{b}" for a, b in map(str.lower, TRANSITION_ORDER)]
 
 DEFAULT_REPORT_THRESHOLD = 1.0
 DEFAULT_SELECTION_THRESHOLD = 0.01
@@ -95,6 +101,9 @@ class ProfileHmm:
                 )
         if len(self.background) != 20 or not all(0.0 < f < math.inf for f in self.background):
             raise SchemaError(f"profile {self.name!r}: background needs 20 positive finite frequencies")
+        total = sum(self.background)
+        if not abs(total - 1.0) <= 1e-6:
+            raise SchemaError(f"profile {self.name!r}: background frequencies sum to {total}, not 1")
 
     def score_tables(self):
         """Log-odds scores in whole 1/SCALE bits, -inf where the probability is 0.
@@ -223,20 +232,11 @@ class DomainHit:
     coverage_query: float
     desc: str
 
-    def to_payload(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class DomainScanResult:
     hits: tuple[DomainHit, ...]
     selected_domains: tuple[DomainHit, ...]
-
-    def to_payload(self) -> dict:
-        return {
-            "hits": [h.to_payload() for h in self.hits],
-            "selected_domains": [h.to_payload() for h in self.selected_domains],
-        }
 
 
 def _parse_value(token: str, line_no: int) -> float:
@@ -267,15 +267,20 @@ def parse_hmm_library(text: str) -> list[ProfileHmm]:
             parts = lines[i].split(None, 1)
             header[parts[0]] = parts[1].strip() if len(parts) > 1 else ""
             i += 1
+        name = header.get("NAME", "?")
         if i >= n:
-            raise SchemaError(f"record {header.get('NAME', '?')!r}: missing HMM section")
+            raise SchemaError(f"record {name!r}: missing HMM section")
         if "LENG" not in header:
-            raise SchemaError(f"record {header.get('NAME', '?')!r}: missing LENG")
+            raise SchemaError(f"record {name!r}: missing LENG")
         try:
             leng = int(header["LENG"])
         except ValueError as exc:
-            raise SchemaError(f"record {header.get('NAME', '?')!r}: bad LENG {header['LENG']!r}") from exc
-        i += 2  # skip HMM residue-order line and transition-order line
+            raise SchemaError(f"record {name!r}: bad LENG {header['LENG']!r}") from exc
+        for expected in (_RESIDUE_HEADER, _TRANSITION_HEADER):
+            if i >= n or lines[i].split() != expected:
+                got = lines[i].strip() if i < n else "end of text"
+                raise SchemaError(f"record {name!r}: line {i + 1} must be {' '.join(expected)!r}, got {got!r}")
+            i += 1
         background = _UNIFORM_BACKGROUND
         if i < n and lines[i].split() and lines[i].split()[0] == "COMPO":
             tokens = lines[i].split()[1:]
@@ -287,7 +292,6 @@ def parse_hmm_library(text: str) -> list[ProfileHmm]:
                 raise SchemaError(f"COMPO row at line {i + 1} has a value far below 0") from exc
             i += 1
         match_rows, insert_rows, transition_rows = [], [], []
-        name = header.get("NAME", "?")
         while i < n:
             stripped = lines[i].strip()
             if stripped == "//":
@@ -353,7 +357,7 @@ def write_hmm_library(profiles: list[ProfileHmm]) -> str:
         out.append(f"LENG  {p.model_length}")
         out.append("ALPH  amino")
         out.append("HMM   " + "  ".join(RESIDUE_ORDER))
-        out.append("      " + "  ".join(t.lower()[0] + "->" + t.lower()[1] for t in TRANSITION_ORDER))
+        out.append("      " + "  ".join(_TRANSITION_HEADER))
         out.append("  COMPO  " + "  ".join(_fmt(-math.log(f)) for f in p.background))
         for k in range(p.model_length):
             out.append(f"  {k + 1}  " + "  ".join(_fmt(v) for v in p.match_emissions[k]))

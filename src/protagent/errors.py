@@ -3,7 +3,8 @@ files that raise them: `read_text` for any UTF-8 file, `parse_file` for a
 text format with its own parser, `read_json` and `read_jsonl` for JSON and
 JSON-lines files, `check_unique`, the one check for a key that an input
 repeats, and `check_utf8`, which refuses decoded JSON holding a string that
-UTF-8 cannot encode. `write_json` is the one writer of JSON files."""
+UTF-8 cannot encode. `to_json` is the one serialiser of results and
+`write_json` the one writer of JSON files."""
 
 import json
 import re
@@ -131,6 +132,23 @@ def read_json(path: str):
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return obj
+
+
+# What to_json returns as it is; checked first, as most values are these.
+_JSON_VALUES = (str, int, float, dict, list, type(None))
+
+
+def to_json(obj):
+    """The JSON value of obj: a dataclass is an object of its fields in
+    declaration order and a tuple is a list, each item converted in turn.
+    Anything else (a dict, list, string, number or None) is returned as it
+    is: payloads and audit entries are JSON already, so they are not walked."""
+    if isinstance(obj, _JSON_VALUES):
+        return obj
+    if isinstance(obj, tuple):
+        return [to_json(item) for item in obj]
+    fields = getattr(type(obj), "__dataclass_fields__", None)
+    return obj if fields is None else {name: to_json(getattr(obj, name)) for name in fields}
 
 
 def write_json(path: str, obj) -> None:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .agent import SessionResult
-from .errors import SchemaError, check_unique, read_jsonl
+from .errors import SchemaError, check_unique, read_jsonl, to_json
 from .seq import Sequence, validate_sequence
 from .templates import COLD_START_TEMPLATE
 
@@ -61,18 +61,7 @@ class EvalReport:
             "overall": {"rouge1": self.overall_rouge1, "rougeL": self.overall_rougeL},
             "case_count": self.case_count,
             "failure_count": self.failure_count,
-            "cases": [
-                {
-                    "case_id": s.case_id,
-                    "task": s.task,
-                    "prediction": s.prediction,
-                    "rouge1_recall": s.rouge1_recall,
-                    "rougeL_recall": s.rougeL_recall,
-                    "stop_reason": s.stop_reason,
-                    "tool_calls_made": s.tool_calls_made,
-                }
-                for s in self.scored
-            ],
+            "cases": to_json(self.scored),
         }
 
 

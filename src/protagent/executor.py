@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import domains, homology, props, topology
-from .errors import ProtAgentError, SchemaError
+from .errors import ProtAgentError, SchemaError, to_json
 from .seq import Sequence, validate_sequence
 
 DEFAULT_MAX_CALLS = 10
@@ -257,10 +257,10 @@ def build_standard_registry(
     def domains_handler(args, ctx):
         if hmm_library is None:
             raise SchemaError("no profile library configured for domain scan")
-        return domains.scan(hmm_library, args["sequence"]).to_payload()
+        return to_json(domains.scan(hmm_library, args["sequence"]))
 
     def topology_handler(args, ctx):
-        return topology.predict_topology(args["sequence"]).to_payload()
+        return {"prediction": to_json(topology.predict_topology(args["sequence"]))}
 
     registry = ToolRegistry()
     for name, description, parameters, handler in (

@@ -35,7 +35,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from .blosum62 import BLOSUM62
-from .errors import ProtAgentError, SchemaError, check_unique, parse_file, read_json, read_jsonl, write_json
+from .errors import ProtAgentError, SchemaError, check_unique, parse_file, read_json, read_jsonl, to_json, write_json
 from .seq import FastaRecord, Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
@@ -90,14 +90,6 @@ class AnnotationRecord:
         if not self.accessions:
             raise SchemaError("annotation record requires at least one accession")
 
-    # Every field but protein_name (annotated "str") is a tuple of strings,
-    # written as a JSON list.
-    def to_payload(self) -> dict:
-        return {
-            f.name: getattr(self, f.name) if f.type == "str" else list(getattr(self, f.name))
-            for f in fields(self)
-        }
-
     @classmethod
     def from_json(cls, obj) -> "AnnotationRecord":
         """Read a record from its JSON object; SchemaError unless protein_name
@@ -150,9 +142,6 @@ class BestHit:
     alnlen: int
     evalue: float
     bits: float
-
-    def to_payload(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -590,8 +579,8 @@ def make_evidence(hit: BestHit, annotations: dict[str, AnnotationRecord]) -> dic
     if hit.target not in annotations:
         raise SchemaError(f"no annotation stored for accession {hit.target!r}")
     return {
-        "best_hit": hit.to_payload(),
-        "uniprot_annotation": annotations[hit.target].to_payload(),
+        "best_hit": to_json(hit),
+        "uniprot_annotation": to_json(annotations[hit.target]),
     }
 
 
@@ -618,7 +607,7 @@ def save_built_store(entries: list[ReferenceEntry], path: str) -> None:
             {
                 "accession": e.accession,
                 "sequence": e.sequence.residues,
-                "annotation": e.annotation.to_payload(),
+                "annotation": to_json(e.annotation),
             }
             for e in entries
         ]
@@ -656,27 +645,31 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
     return entries
 
 
-def _numbered_records(text: str) -> list[tuple[FastaRecord, int]]:
-    """parse_fasta's records, each with the line number of its header."""
+def _unique_records(text: str) -> list[FastaRecord]:
+    """parse_fasta's records; a repeated id is a SchemaError naming both
+    header lines."""
+    records = parse_fasta(text)
     # parse_fasta makes one record per header line, in order.
     header_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith(">")]
-    return list(zip(parse_fasta(text), header_lines))
+    first_line: dict[str, str] = {}
+    for rec, line_no in zip(records, header_lines):
+        try:
+            check_unique(first_line, rec.sequence.id, f"on line {line_no}", "id")
+        except SchemaError as exc:
+            raise SchemaError(f"line {line_no}: {exc}") from exc
+    return records
 
 
 def load_reference_store(fasta_path: str, annotations_path: str) -> list[ReferenceEntry]:
-    """Pair a FASTA file with its JSON-lines annotations by accession; a
-    repeated FASTA id is a SchemaError naming both header lines."""
-    records = parse_file(fasta_path, _numbered_records)
+    """Pair a FASTA file with its JSON-lines annotations by accession. A
+    repeated FASTA id and a FASTA id without an annotation record are
+    SchemaErrors naming the files."""
+    records = parse_file(fasta_path, _unique_records)
     annotations = load_annotations(annotations_path)
     entries = []
-    first_line: dict[str, str] = {}
-    for rec, line_no in records:
+    for rec in records:
         acc = rec.sequence.id
-        try:
-            check_unique(first_line, acc, f"on line {line_no}", "id")
-        except SchemaError as exc:
-            raise SchemaError(f"FASTA line {line_no}: {exc}") from exc
         if acc not in annotations:
-            raise SchemaError(f"FASTA entry {acc!r} has no annotation record")
+            raise SchemaError(f"{fasta_path}: entry {acc!r} has no annotation record in {annotations_path}")
         entries.append(ReferenceEntry(accession=acc, sequence=rec.sequence, annotation=annotations[acc]))
     return entries

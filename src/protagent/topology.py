@@ -36,15 +36,6 @@ class TopologyPrediction:
     tm_signal_letter_hits: int
     has_tm_signal_heuristic: bool
 
-    def to_payload(self) -> dict:
-        return {
-            "prediction": {
-                "raw_pred": self.raw_pred,
-                "tm_signal_letter_hits": self.tm_signal_letter_hits,
-                "has_tm_signal_heuristic": self.has_tm_signal_heuristic,
-            }
-        }
-
 
 def window_means(seq: Sequence) -> list[float]:
     """Hydropathy means over DEFAULT_WINDOW residues centred on each

@@ -14,6 +14,7 @@ from oracles import brute_viterbi_bits, gotoh_local_score, random_profile, recur
 from protagent import agent, domains, evaluation, homology, topology
 from protagent.agent import RAG_TOOL_ORDER, render_payload, run_direct, run_rag, run_tool_agent
 from protagent.backends import ChatMessage, ScriptedBackend
+from protagent.errors import to_json
 from protagent.executor import SessionContext, ToolCall, invoke
 from protagent.props import compute_basic_props
 from protagent.seq import CANONICAL_RESIDUES, Sequence
@@ -97,7 +98,7 @@ def test_acceptance_homology_determinism(store_index):
     q = Sequence(id="query", residues="".join(mutated))
     reversed_index = homology.build_index(store_index.entries[::-1])
     payloads = {
-        json.dumps(homology.search_best_hit(index, q).to_payload(), sort_keys=True)
+        json.dumps(to_json(homology.search_best_hit(index, q)), sort_keys=True)
         for index in [store_index] * 10 + [reversed_index]
     }
     check("homology: 10 repeats and a reversed-order index give byte-identical best hits",
@@ -293,7 +294,7 @@ def test_acceptance_agent_replay(registry, mscl_seq):
     other = run_replay(registry, mscl_seq)
     check(
         "agent: repeated replay produces a byte-identical trace",
-        json.dumps(result.trace.to_json(), sort_keys=True) == json.dumps(other.trace.to_json(), sort_keys=True),
+        json.dumps(to_json(result.trace), sort_keys=True) == json.dumps(to_json(other.trace), sort_keys=True),
     )
     check("agent: replayed session finishes in <10s", elapsed < 10.0, f"{elapsed:.2f}s")
 

@@ -250,6 +250,25 @@ def test_index_build_and_reuse(runner, tmp_path):
     assert json.loads(result.output)["best_hit"]["target"] == "Q4L656"
 
 
+def test_built_store_and_tool_payloads_match_pinned_files(runner, tmp_path):
+    # The bytes that `index build` and each `tools run` write, as pinned in
+    # tests/data/pinned; CI compares the console script's output to the same files.
+    def pinned(name):
+        with open(data_path(os.path.join("pinned", name)), encoding="utf-8") as fh:
+            return fh.read()
+
+    store = tmp_path / "store.json"
+    args = ["--fasta", data_path("store.fasta"), "--annotations", data_path("store.annotations.jsonl")]
+    assert runner.invoke(main, ["index", "build", *args, "--out", str(store)]).exit_code == 0
+    assert store.read_text(encoding="utf-8") == pinned("store.json")
+    for tool in ("seq_basic_props", "mmseqs2_besthit_uniprot", "pfam_hmmscan", "tmbed_predict"):
+        result = runner.invoke(main, [
+            "tools", "run", tool, "--sequence-file", data_path("mscl.fasta"),
+            "--store-json", str(store), "--hmm-library", data_path("toy.hmm"),
+        ])
+        assert (tool, result.exit_code, result.output) == (tool, 0, pinned(f"{tool}.json"))
+
+
 def test_trace_show(runner, tmp_path):
     runner.invoke(
         main,
@@ -280,7 +299,7 @@ def test_trace_show_non_trace_is_a_message(runner, tmp_path):
     path.write_text("[1]")
     result = runner.invoke(main, ["trace", "show", str(path)])
     assert result.exit_code == 1
-    assert "cannot read trace" in result.output and "is not a saved trace" in result.output
+    assert f"Error: {path} is not a saved trace: " in result.output and result.output.count(str(path)) == 1
 
 
 def test_trace_show_mistyped_message_is_a_message(runner, tmp_path):
@@ -290,7 +309,8 @@ def test_trace_show_mistyped_message_is_a_message(runner, tmp_path):
     result = runner.invoke(main, ["trace", "show", str(path)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a message, not a traceback
-    assert "cannot read trace" in result.output and "role must be one of" in result.output
+    assert f"Error: {path} is not a saved trace: role must be one of" in result.output
+    assert result.output.count(str(path)) == 1
 
 
 def test_trace_show_lone_surrogate_is_a_message(runner, tmp_path):
@@ -300,7 +320,7 @@ def test_trace_show_lone_surrogate_is_a_message(runner, tmp_path):
     result = runner.invoke(main, ["trace", "show", str(path)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a message, not a traceback
-    assert "cannot read trace" in result.output and "lone surrogate" in result.output
+    assert f"Error: {path}: lone surrogate" in result.output and result.output.count(str(path)) == 1
 
 
 def test_synth_prompts(runner, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from protagent.domains import (
     viterbi_score,
     write_hmm_library,
 )
-from protagent.errors import SchemaError
+from protagent.errors import SchemaError, to_json
 from protagent.seq import CANONICAL_RESIDUES, Sequence
 
 
@@ -452,6 +453,7 @@ def test_profile_rejects_scores_viterbi_cannot_use():
         # a probability above 1: the kernel needs every transition score <= 0
         ({"transitions": (p.transitions[0], (-1.0,) + p.transitions[1][1:])}, bad_transition),
         ({"background": (0.0,) + tuple([1.0 / 19] * 19)}, "background needs 20 positive finite frequencies"),
+        ({"background": (0.06,) * 20}, r"background frequencies sum to 1\.2\d*, not 1"),
     ):
         with pytest.raises(SchemaError, match=message):
             ProfileHmm(**{**fields, **bad})
@@ -470,6 +472,41 @@ def test_parse_rejects_value_whose_probability_overflows(row, message):
     lines[i] = "  ".join(tokens)
     with pytest.raises(SchemaError, match=message):
         parse_hmm_library("\n".join(lines) + "\n")
+
+
+RESIDUE_HEADER = "'HMM A C D E F G H I K L M N P Q R S T V W Y'"
+TRANSITION_HEADER = "'m->m m->i m->d i->m i->i d->m d->d'"
+
+
+# Reversed residues would give each emission column to the wrong residue; a
+# missing transition line used to skip the COMPO row in its place, so a
+# non-uniform background silently became uniform.
+@pytest.mark.parametrize(
+    "row, line, message",
+    [
+        (6, "HMM   Y  W  V  T  S  R  Q  P  N  M  L  K  I  H  G  F  E  D  C  A", f"line 7 must be {RESIDUE_HEADER}"),
+        (7, None, f"line 8 must be {TRANSITION_HEADER}, got 'COMPO"),
+        (7, "      m->m  m->i  m->d  i->m  i->i  d->d  d->m", f"line 8 must be {TRANSITION_HEADER}"),
+    ],
+    ids=["residues-reversed", "transitions-missing", "transitions-out-of-order"],
+)
+def test_parse_rejects_column_header_lines_out_of_order(row, line, message):
+    lines = library_text().splitlines()
+    assert lines[row].split()[0] == ("HMM" if row == 6 else "m->m")
+    if line is None:
+        del lines[row]
+    else:
+        lines[row] = line
+    with pytest.raises(SchemaError, match=re.escape(f"record 'MscL': {message}")):
+        parse_hmm_library("\n".join(lines) + "\n")
+
+
+def test_parse_rejects_background_that_is_not_a_distribution():
+    # Twenty -0.5 values are frequencies of e**0.5 each, summing to 32.97.
+    head, rest = library_text().split("COMPO", 1)
+    tail = rest.split("\n", 1)[1]
+    with pytest.raises(SchemaError, match=r"'MscL': background frequencies sum to 32\.97\d*, not 1"):
+        parse_hmm_library(head + "COMPO" + "  -0.5" * 20 + "\n" + tail)
 
 
 def test_parse_rejects_zero_background_frequency():
@@ -535,7 +572,7 @@ def test_scan_bundled_library_on_channel_sequence(hmm_library, mscl_seq):
 
 
 def test_scan_payload_keys(hmm_library, mscl_seq):
-    payload = scan(hmm_library, mscl_seq).to_payload()
+    payload = to_json(scan(hmm_library, mscl_seq))
     assert set(payload) == {"hits", "selected_domains"}
     assert set(payload["hits"][0]) == {
         "pfam_id", "pfam_acc", "query", "evalue", "score",

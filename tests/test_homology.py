@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -21,7 +22,7 @@ from oracles import (
 )
 from protagent import homology
 from protagent.blosum62 import BLOSUM62, score
-from protagent.errors import SchemaError
+from protagent.errors import SchemaError, to_json
 from protagent.homology import (
     MAX_ENTRIES,
     MAX_ENTRY_RESIDUES,
@@ -696,7 +697,7 @@ def test_annotation_json_round_trip():
         function=("does stuff",),
         go=("GO:1",),
     )
-    assert AnnotationRecord.from_json(rec.to_payload()) == rec
+    assert AnnotationRecord.from_json(to_json(rec)) == rec
 
 
 def test_load_annotations_rejects_bad_json(tmp_path):
@@ -808,7 +809,8 @@ def test_load_reference_store_requires_annotations(tmp_path):
     fasta.write_text(">A1\nMLKEFKEF\n")
     ann = tmp_path / "a.jsonl"
     ann.write_text(json.dumps({"accessions": ["OTHER"], "protein_name": "x"}) + "\n")
-    with pytest.raises(SchemaError, match="FASTA entry 'A1' has no annotation record"):
+    message = f"{fasta}: entry 'A1' has no annotation record in {ann}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
         homology.load_reference_store(str(fasta), str(ann))
 
 
@@ -826,7 +828,7 @@ def test_load_reference_store_rejects_duplicate_fasta_id(tmp_path):
     fasta.write_text(">A1 first\nMLKEFKEFAL\n>B2\nMLKEF\nKEF\n>A1 second\nWWWWWWWWWW\n")
     ann = tmp_path / "a.jsonl"
     ann.write_text("".join(json.dumps({"accessions": [a], "protein_name": a}) + "\n" for a in ("A1", "B2")))
-    with pytest.raises(SchemaError, match=r"FASTA line 6: duplicate id 'A1' \(first on line 1\)"):
+    with pytest.raises(SchemaError, match=re.escape(f"{fasta}: line 6: duplicate id 'A1' (first on line 1)")):
         homology.load_reference_store(str(fasta), str(ann))
 
 
@@ -921,5 +923,5 @@ def test_search_repeatable_best_hit(store_index):
     for pos in rng.sample(range(len(mutated)), 20):
         mutated[pos] = rng.choice(CANONICAL_RESIDUES)
     q = Sequence(id="query", residues="".join(mutated))
-    hits = {json.dumps(search_best_hit(store_index, q).to_payload()) for _ in range(5)}
+    hits = {json.dumps(to_json(search_best_hit(store_index, q))) for _ in range(5)}
     assert len(hits) == 1

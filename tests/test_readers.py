@@ -5,7 +5,7 @@ repeated or foreign key), among blank, non-object and non-JSON lines. The
 text inputs (a profile library, a FASTA file, a config file) are mostly
 well-formed lines with a few faults. The trace of a session run on any
 script that its reader accepts, or on any remote reply, is saved and read
-back equal."""
+back equal, and so is any annotations file or built store that loads."""
 
 import dataclasses
 import json
@@ -23,10 +23,16 @@ from protagent.backends import ScriptedBackend
 from protagent.cli import main
 from protagent.config import RunConfig, load_config_file
 from protagent.domains import parse_hmm_library, write_hmm_library
-from protagent.errors import SchemaError, parse_file
+from protagent.errors import SchemaError, parse_file, to_json
 from protagent.evaluation import load_benchmark
 from protagent.executor import build_standard_registry
-from protagent.homology import load_annotations, load_built_store, load_reference_store
+from protagent.homology import (
+    AnnotationRecord,
+    load_annotations,
+    load_built_store,
+    load_reference_store,
+    save_built_store,
+)
 from protagent.seq import Sequence
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -195,7 +201,21 @@ def assert_round_trips(trace, path: str) -> None:
     """save_trace then load_trace gives the trace back; compared as JSON text,
     so that a NaN argument counts as equal to itself."""
     save_trace(trace, path)
-    assert json.dumps(load_trace(path).to_json()) == json.dumps(trace.to_json())
+    assert json.dumps(to_json(load_trace(path))) == json.dumps(to_json(trace))
+
+
+def test_to_json_converts_dataclasses_and_tuples_only():
+    @dataclasses.dataclass(frozen=True)
+    class Record:
+        name: str
+        parts: tuple
+        extra: dict
+
+    record = Record(name="r", parts=(1, ("x", None)), extra={"kept": (1, 2)})
+    out = to_json((record, 2.5))
+    assert out == [{"name": "r", "parts": [1, ["x", None]], "extra": {"kept": (1, 2)}}, 2.5]
+    assert list(out[0]) == ["name", "parts", "extra"]  # declaration order
+    assert out[0]["extra"] is record.extra  # a dict is JSON already: not walked or copied
 
 
 def load(reader, path: str, text: str):
@@ -248,16 +268,33 @@ def test_load_annotations_keeps_every_given_field(input_path, text):
         return
     for line in filter(str.strip, text.split("\n")):
         given_fields = json.loads(line)
-        payload = records[given_fields.get("accession", given_fields["accessions"][0])].to_payload()
+        payload = to_json(records[given_fields.get("accession", given_fields["accessions"][0])])
         assert {k: given_fields[k] for k in payload if k in given_fields} == {
             k: v for k, v in payload.items() if k in given_fields
         }
 
 
 @PROPERTY
+@given(jsonl(ANNOTATION | {"accession": accession}))
+def test_accepted_annotations_write_back_equal(input_path, text):
+    records = load(load_annotations, input_path, text)
+    for record in (records or {}).values():
+        assert AnnotationRecord.from_json(json.loads(json.dumps(to_json(record)))) == record
+
+
+@PROPERTY
 @given(json_file(st.fixed_dictionaries({"entries": st.lists(obj(STORE_ENTRY), max_size=3)})))
 def test_load_built_store_returns_or_raises_typed(input_path, text):
     load(load_built_store, input_path, text)
+
+
+@PROPERTY
+@given(json_file(st.fixed_dictionaries({"entries": st.lists(obj(STORE_ENTRY), max_size=3)})))
+def test_accepted_built_stores_write_back_equal(input_path, text):
+    entries = load(load_built_store, input_path, text)
+    if entries is not None:
+        save_built_store(entries, input_path)
+        assert load_built_store(input_path) == entries
 
 
 @PROPERTY
