@@ -1,8 +1,10 @@
 """Multi-turn reasoning loop: three inference paradigms over one backend.
 
-All three runners produce a SessionResult whose ConversationTrace is the
-persisted audit artifact. With a scripted backend and injected clocks the
-traces are byte-identical across runs.
+The three runners differ only in their opening messages and whether tools
+are offered. One session loop, `_converse`, runs all three and produces
+the SessionResult whose ConversationTrace is the persisted audit artifact.
+With a scripted backend and injected clocks the traces are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class ConversationTrace:
 
 @dataclass(frozen=True)
 class SessionResult:
-    paradigm: str  # direct | rag | tool_agent
     trace: ConversationTrace
     final_answer: str | None
     stop_reason: str  # answer_found | max_turns | backend_error | budget_exhausted
@@ -76,21 +77,28 @@ def _message_from_json(obj: dict) -> ChatMessage:
     )
 
 
-def trace_from_json(obj: dict) -> ConversationTrace:
-    """Rebuild a trace from its `to_json(trace)` form; TypeError for a mistyped
-    session_id, created_at, paradigm or audit (a list of objects)."""
+def _objects(obj: dict, key: str, default=None) -> list:
+    value = obj.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise TypeError(f"{key} must be a list of objects")
+    return value
+
+
+def trace_from_json(obj) -> ConversationTrace:
+    """Rebuild a trace from its `to_json(trace)` form; TypeError for a
+    document that is not an object, a mistyped session_id, created_at or
+    paradigm, or messages or audit that are not lists of objects."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"a trace must be a JSON object, got {type(obj).__name__}")
     for key in ("session_id", "created_at", "paradigm"):
         if not isinstance(obj[key], str):
             raise TypeError(f"{key} must be a string, got {obj[key]!r}")
-    audit = obj.get("audit", [])
-    if not isinstance(audit, list) or not all(isinstance(entry, dict) for entry in audit):
-        raise TypeError("audit must be a list of objects")
     return ConversationTrace(
         session_id=obj["session_id"],
         created_at=obj["created_at"],
         paradigm=obj["paradigm"],
-        messages=tuple(_message_from_json(m) for m in obj["messages"]),
-        audit=tuple(audit),
+        messages=tuple(_message_from_json(m) for m in _objects(obj, "messages")),
+        audit=tuple(_objects(obj, "audit", [])),
     )
 
 
@@ -137,25 +145,49 @@ def _default_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _audit_to_json(ctx: SessionContext) -> tuple[dict, ...]:
-    return tuple({"call": to_json(call), "response": to_json(resp)} for call, resp in ctx.audit)
+# What a session that offers no tools answers each tool call with.
+_REFUSAL = {"error_kind": "budget_exhausted", "message": "tool calls are not available in this mode"}
 
 
-def _finish(paradigm, session_id, created_at, messages, ctx, answer, stop_reason, calls_made) -> SessionResult:
-    trace = ConversationTrace(
-        session_id=session_id,
-        created_at=created_at,
-        paradigm=paradigm,
-        messages=tuple(messages),
-        audit=_audit_to_json(ctx) if ctx is not None else (),
-    )
-    return SessionResult(
-        paradigm=paradigm,
-        trace=trace,
-        final_answer=answer,
-        stop_reason=stop_reason,
-        tool_calls_made=calls_made,
-    )
+def _tool_message(call: ToolCall, payload) -> ChatMessage:
+    return ChatMessage(role="tool", content=render_payload(payload), tool_call_id=call.call_id)
+
+
+def _converse(paradigm, backend, registry, ctx, created_at, messages, decoding, tools, max_turns,
+              session_id) -> SessionResult:
+    """The one session loop: up to `max_turns` model turns after the opening
+    `messages`, each tool call answered by one tool message, in call order.
+    A session that offers tools (`tools` is not None, even when empty) runs
+    the calls through `invoke`, and they win over an answer span in the same
+    turn; one that offers none refuses each call unexecuted, and the turn's
+    answer stands. Stops on an answer, the turn ceiling, an exhausted call
+    budget or a backend error."""
+    decoding = decoding or DecodingParams()
+    stop, answer = "max_turns", None
+    for _turn in range(max_turns):
+        try:
+            assistant = backend.complete(messages, tools, decoding)
+        except BackendError:
+            stop = "backend_error"
+            break
+        messages.append(assistant)
+        calls = assistant.tool_calls or ()
+        if tools is None:
+            messages += [_tool_message(tc, _REFUSAL) for tc in calls]
+        elif calls:
+            responses = [invoke(registry, tc, ctx) for tc in calls]
+            messages += [_tool_message(tc, resp.payload) for tc, resp in zip(calls, responses)]
+            if any(not resp.ok and resp.payload.get("error_kind") == "budget_exhausted" for resp in responses):
+                stop = "budget_exhausted"
+                break
+            continue
+        answer = extract_answer(assistant.content)
+        if answer is not None:
+            stop = "answer_found"
+            break
+    audit = tuple({"call": to_json(call), "response": to_json(resp)} for call, resp in ctx.audit)
+    trace = ConversationTrace(session_id, created_at, paradigm, tuple(messages), audit)
+    return SessionResult(trace, answer, stop, ctx.calls_made if tools is not None else 0)
 
 
 def run_direct(
@@ -167,20 +199,12 @@ def run_direct(
     now: Callable[[], str] | None = None,
 ) -> SessionResult:
     """Single round, no tools offered."""
-    decoding = decoding or DecodingParams()
-    created_at = (now or _default_now)()
     messages = [
         ChatMessage(role="system", content=BASELINE_TEMPLATE),
         ChatMessage(role="user", content=f"{question}\n{sequence_block(seq)}"),
     ]
-    try:
-        assistant = backend.complete(messages, None, decoding)
-    except BackendError:
-        return _finish("direct", session_id, created_at, messages, None, None, "backend_error", 0)
-    messages.append(assistant)
-    answer = extract_answer(assistant.content)
-    stop = "answer_found" if answer is not None else "max_turns"
-    return _finish("direct", session_id, created_at, messages, None, answer, stop, 0)
+    ctx = SessionContext(query_sequence=seq)
+    return _converse("direct", backend, None, ctx, (now or _default_now)(), messages, decoding, None, 1, session_id)
 
 
 def run_rag(
@@ -193,14 +217,12 @@ def run_rag(
     now: Callable[[], str] | None = None,
     timer: Callable[[], float] | None = None,
 ) -> SessionResult:
-    """All four tools invoked up front; single model round; tool budget 0.
+    """All four tools invoked up front; single model round; no tools offered.
 
     Tool failures degrade gracefully: the error envelope is serialized
-    into the context block and the run proceeds. Model-initiated tool
-    calls are refused without execution, so the audit holds exactly the
-    four up-front invocations.
+    into the context block and the run proceeds. The audit holds exactly
+    the four up-front invocations.
     """
-    decoding = decoding or DecodingParams()
     created_at = (now or _default_now)()
     ctx = SessionContext(query_sequence=seq, limits=SessionLimits(max_calls=len(RAG_TOOL_ORDER)))
     if timer is not None:
@@ -210,23 +232,11 @@ def run_rag(
         call = ToolCall(call_id=f"rag_{i}", name=tool_name, arguments={"sequence_ref": "query"})
         resp = invoke(registry, call, ctx)
         blocks.append(f"[TOOL RESULT: {tool_name}]\n{render_payload(resp.payload)}")
-    user_content = "\n\n".join([question, sequence_block(seq)] + blocks)
     messages = [
         ChatMessage(role="system", content=RAG_TEMPLATE),
-        ChatMessage(role="user", content=user_content),
+        ChatMessage(role="user", content="\n\n".join([question, sequence_block(seq)] + blocks)),
     ]
-    try:
-        assistant = backend.complete(messages, None, decoding)
-    except BackendError:
-        return _finish("rag", session_id, created_at, messages, ctx, None, "backend_error", 0)
-    messages.append(assistant)
-    # Refuse model-initiated calls without executing them (budget 0).
-    for tc in assistant.tool_calls or ():
-        refusal = {"error_kind": "budget_exhausted", "message": "tool calls are not available in this mode"}
-        messages.append(ChatMessage(role="tool", content=render_payload(refusal), tool_call_id=tc.call_id))
-    answer = extract_answer(assistant.content)
-    stop = "answer_found" if answer is not None else "max_turns"
-    return _finish("rag", session_id, created_at, messages, ctx, answer, stop, 0)
+    return _converse("rag", backend, registry, ctx, created_at, messages, decoding, None, 1, session_id)
 
 
 def run_tool_agent(
@@ -241,49 +251,10 @@ def run_tool_agent(
     now: Callable[[], str] | None = None,
     timer: Callable[[], float] | None = None,
 ) -> SessionResult:
-    """Interleaved tool-call loop.
-
-    Assistant tool calls are executed in message order, one tool message
-    appended per call. A turn with both tool calls and an answer span
-    keeps investigating: the tool calls win. Stops on the first call-free
-    answer span, the turn ceiling, or an exhausted call budget.
-    """
-    decoding = decoding or DecodingParams()
-    created_at = (now or _default_now)()
+    """Interleaved tool-call loop over every tool of `registry`."""
     ctx = SessionContext(query_sequence=seq, limits=limits or SessionLimits())
     if timer is not None:
         ctx.clock = timer
-    messages = [
-        ChatMessage(
-            role="user",
-            content=f"{TOOL_AGENT_TEMPLATE}\n{question}\n{sequence_block(seq)}",
-        )
-    ]
-    tools = registry.schemas()
-    stop = "max_turns"
-    answer = None
-    for _turn in range(max_turns):
-        try:
-            assistant = backend.complete(messages, tools, decoding)
-        except BackendError:
-            stop = "backend_error"
-            break
-        messages.append(assistant)
-        if assistant.tool_calls:
-            budget_hit = False
-            for tc in assistant.tool_calls:
-                resp = invoke(registry, tc, ctx)
-                messages.append(
-                    ChatMessage(role="tool", content=render_payload(resp.payload), tool_call_id=tc.call_id)
-                )
-                if not resp.ok and resp.payload.get("error_kind") == "budget_exhausted":
-                    budget_hit = True
-            if budget_hit:
-                stop = "budget_exhausted"
-                break
-            continue
-        answer = extract_answer(assistant.content)
-        if answer is not None:
-            stop = "answer_found"
-            break
-    return _finish("tool_agent", session_id, created_at, messages, ctx, answer, stop, ctx.calls_made)
+    messages = [ChatMessage(role="user", content=f"{TOOL_AGENT_TEMPLATE}\n{question}\n{sequence_block(seq)}")]
+    return _converse("tool_agent", backend, registry, ctx, (now or _default_now)(), messages, decoding,
+                     registry.schemas(), max_turns, session_id)

@@ -16,7 +16,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import BackendError, SchemaError, check_utf8, read_jsonl
+from .errors import BackendError, SchemaError, decode_json, read_jsonl
 from .executor import ToolCall
 
 REQUEST_TIMEOUT_S = 120.0
@@ -136,16 +136,14 @@ def _wire_call(turn: int, i: int, tc: dict) -> ToolCall:
     """Tool call i of the reply to a request of `turn` messages. One without
     an id gets `call_{turn}_{i}`: the conversation grows every turn, so
     these ids are unique within a session. `function.arguments` is a JSON
-    string (null or empty for none); one that is not JSON, nests too deep or
-    holds a lone surrogate becomes {"__malformed__": <the string>} for the
-    executor."""
+    string (null or empty for none); one that decode_json refuses becomes
+    {"__malformed__": <the string>} for the executor."""
     function = tc["function"]
     name, raw = function["name"], function.get("arguments")
     if not isinstance(raw, (str, type(None))):
         raise SchemaError(f"tool call arguments must be a JSON string, got {raw!r}")
     try:
-        arguments = json.loads(raw or "{}")
-        check_utf8(raw or "", arguments)
+        arguments = decode_json(raw or "{}")
     except (json.JSONDecodeError, RecursionError, SchemaError):
         arguments = {"__malformed__": raw}
     return ToolCall(tc.get("id", f"call_{turn}_{i}"), name, arguments)
@@ -179,14 +177,10 @@ class HttpChatBackend:
                 timeout=REQUEST_TIMEOUT_S,
             )
             resp.raise_for_status()
-            data = resp.json()
         except requests.RequestException as exc:
             raise BackendError(f"chat endpoint request failed: {exc}") from exc
-        except (ValueError, RecursionError) as exc:
-            raise BackendError(f"chat endpoint returned non-JSON body: {exc}") from exc
         try:
-            check_utf8(resp.text, data)
-            message = data["choices"][0]["message"]
+            message = decode_json(resp.text)["choices"][0]["message"]
             if not isinstance(message, dict):
                 raise TypeError(f"message is not an object: {message!r}")
             return ChatMessage(
@@ -194,5 +188,7 @@ class HttpChatBackend:
                 content=message.get("content"),
                 tool_calls=calls_from_json(message.get("tool_calls"), functools.partial(_wire_call, len(messages))),
             )
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise BackendError(f"chat endpoint returned non-JSON body: {exc}") from exc
         except (SchemaError, LookupError, TypeError) as exc:
             raise BackendError(f"unusable chat completion: {type(exc).__name__}: {exc}") from exc

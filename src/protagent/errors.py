@@ -2,9 +2,9 @@
 files that raise them: `read_text` for any UTF-8 file, `parse_file` for a
 text format with its own parser, `read_json` and `read_jsonl` for JSON and
 JSON-lines files, `check_unique`, the one check for a key that an input
-repeats, and `check_utf8`, which refuses decoded JSON holding a string that
-UTF-8 cannot encode. `to_json` is the one serialiser of results and
-`write_json` the one writer of JSON files."""
+repeats, and `decode_json`, the one JSON decoder of files and of the wire.
+`to_json` is the one serialiser of results and `write_json` the one writer
+of JSON files."""
 
 import json
 import re
@@ -64,7 +64,7 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-# One decoder for every reader: json.loads given a hook builds one per call.
+# json.loads given a hook builds a decoder per call; this one is built once.
 _decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
@@ -73,13 +73,17 @@ _decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def check_utf8(text: str, obj) -> None:
-    """SchemaError when a string of obj, decoded from the JSON text, holds a
-    lone surrogate: it loads, but no UTF-8 output (a trace, a report, the
-    terminal) can write it. Only a surrogate escape in text can make one (an
-    escaped pair decodes to one character), so other text is not walked."""
+def decode_json(text: str):
+    """The JSON value of text, decoded by every file reader and for the
+    wire. An object that repeats a key, or a string holding a lone surrogate
+    (it decodes, but no UTF-8 output such as a trace, a report or the
+    terminal can write it), is a SchemaError; text that is not JSON raises
+    json.JSONDecodeError, and nesting too deep RecursionError."""
+    obj = _decode(text)
+    # Only a surrogate escape in text can make a lone surrogate (an escaped
+    # pair decodes to one character), so other text is not walked.
     if not _SURROGATE_ESCAPE.search(text):
-        return
+        return obj
     stack = [obj]
     while stack:
         value = stack.pop()
@@ -93,23 +97,22 @@ def check_utf8(text: str, obj) -> None:
             stack += value.values()
         elif isinstance(value, list):
             stack += value
+    return obj
 
 
 def read_jsonl(path: str, what: str, parse) -> list:
     """`parse(line_no, obj)` of each JSON object of a JSON-lines file, in
-    order; blank lines are skipped but counted. A line that is not JSON, not
-    an object, repeats a key within the object or holds a lone surrogate
-    (check_utf8), and any ProtAgentError from `parse`, raises SchemaError
-    prefixed "{what} line N"."""
+    order; blank lines are skipped but counted. A line that decode_json
+    refuses or that is not an object, and any ProtAgentError from `parse`,
+    raises SchemaError prefixed "{what} line N"."""
     out = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = _decode(line)
+            obj = decode_json(line)
             if isinstance(obj, dict):
-                check_utf8(line, obj)
                 out.append(parse(line_no, obj))
         except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise SchemaError(f"{what} line {line_no} is not valid JSON: {exc}") from exc
@@ -121,12 +124,11 @@ def read_jsonl(path: str, what: str, parse) -> list:
 
 
 def read_json(path: str):
-    """The JSON value of a whole file, decoded and checked as read_jsonl
-    decodes a line; any fault is a SchemaError naming the file."""
+    """The JSON value of a whole file, by decode_json; any fault is a
+    SchemaError naming the file."""
     text = read_text(path)
     try:
-        obj = _decode(text)
-        check_utf8(text, obj)
+        obj = decode_json(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     except SchemaError as exc:

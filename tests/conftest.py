@@ -56,17 +56,14 @@ def registry(store_index, store_annotations, hmm_library):
 
 
 class StubReply:
-    """What a replaced `requests.post` returns: the body as JSON text, which
-    `json()` decodes, as a real response's does."""
+    """What a replaced `requests.post` returns: the body as JSON text, the
+    one part of a response the remote backend reads."""
 
     def __init__(self, body):
         self.text = json.dumps(body)
 
     def raise_for_status(self):
         pass
-
-    def json(self):
-        return json.loads(self.text)
 
 
 def http_backend(monkeypatch, message) -> backends.HttpChatBackend:

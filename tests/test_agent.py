@@ -2,9 +2,11 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import StubReply, data_path, http_backend, http_tool_call
-from protagent import backends
+from conftest import MSCL_RESIDUES, StubReply, data_path, http_backend, http_tool_call
+from protagent import agent, backends
 from protagent.agent import (
     RAG_TOOL_ORDER,
     extract_answer,
@@ -19,7 +21,8 @@ from protagent.agent import (
 )
 from protagent.backends import ChatMessage, DecodingParams, ScriptedBackend
 from protagent.errors import BackendError, SchemaError, to_json
-from protagent.executor import SessionLimits, ToolCall
+from protagent.executor import SessionLimits, ToolCall, ToolRegistry, build_standard_registry
+from protagent.seq import Sequence
 
 
 def fixed_now():
@@ -86,6 +89,7 @@ def message(**fields) -> dict:
         pytest.param("[1]", id="list"),
         pytest.param("null", id="null"),
         pytest.param({"session_id": "s"}, id="no-messages"),
+        pytest.param({**trace_with(), "messages": "ab"}, id="messages-string"),
         pytest.param(trace_with(5), id="message-number"),
         pytest.param(trace_with({"content": "x"}), id="message-without-role"),
         pytest.param(trace_with({"role": "assistant", "content": None}), id="assistant-without-content"),
@@ -116,6 +120,22 @@ def test_load_trace_raises_only_schema_errors(tmp_path, text):
     # read_json's refusal or load_trace's, naming the file once either way
     message = str(info.value)
     assert message.startswith(f"{path} is not") and message.count(str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "document, named",
+    [
+        pytest.param([1], "a trace must be a JSON object, got list", id="list"),
+        pytest.param({**trace_with(), "messages": "ab"}, "messages must be a list of objects", id="messages-string"),
+        pytest.param(trace_with(5), "messages must be a list of objects", id="message-number"),
+    ],
+)
+def test_load_trace_names_the_mistyped_field(tmp_path, document, named):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(SchemaError) as info:
+        load_trace(str(path))
+    assert str(info.value) == f"{path} is not a saved trace: TypeError: {named}"
 
 
 @pytest.mark.parametrize(
@@ -202,6 +222,17 @@ def test_run_direct_offers_no_tools(mscl_seq):
 
     run_direct(Probe(), "Q?", mscl_seq)
     assert seen == [None]
+
+
+def test_run_direct_refuses_model_tool_calls(mscl_seq):
+    call = ToolCall(call_id="x1", name="seq_basic_props", arguments={"sequence_ref": "query"})
+    result = run_direct(scripted(assistant(content="<answer>a channel</answer>", tool_calls=(call,))), "Q?", mscl_seq)
+    assert [m.role for m in result.trace.messages] == ["system", "user", "assistant", "tool"]
+    refusal = result.trace.messages[-1]
+    assert refusal.tool_call_id == "x1"
+    assert json.loads(refusal.content)["error_kind"] == "budget_exhausted"
+    assert result.trace.audit == ()  # never executed
+    assert (result.stop_reason, result.final_answer) == ("answer_found", "a channel")  # the answer stands
 
 
 # --- rag paradigm -----------------------------------------------------------
@@ -383,6 +414,69 @@ def test_deterministic_traces(registry, mscl_seq):
     assert t1 == t2
 
 
+# --- the one session loop, over all three paradigms -------------------------
+
+QUERY = Sequence(id="query", residues=MSCL_RESIDUES)
+BARE = build_standard_registry()  # no store or library: those tools answer with error envelopes
+# An empty registry offers `[]` as tools, which must still invoke and audit every call.
+REGISTRIES = [BARE, ToolRegistry()]
+STOP_REASONS = ("answer_found", "max_turns", "backend_error", "budget_exhausted")
+
+# A reply: whether it holds an answer span, and the names it calls (one unknown).
+reply_st = st.tuples(st.booleans(), st.lists(st.sampled_from(["seq_basic_props", "tmbed_predict", "no_such_tool"]),
+                                             max_size=3))
+
+
+def reply(turn: int, has_answer: bool, names: list[str]) -> ChatMessage:
+    calls = tuple(ToolCall(f"c{turn}_{i}", name, {"sequence_ref": "query"}) for i, name in enumerate(names))
+    content = "<answer>a channel</answer>" if has_answer else (None if calls else "thinking")
+    return assistant(content=content, tool_calls=calls or None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    paradigm=st.sampled_from(["direct", "rag", "tool_agent"]),
+    replies=st.lists(reply_st, max_size=4),
+    budget=st.integers(min_value=0, max_value=3),
+    registry=st.sampled_from(REGISTRIES),
+)
+def test_session_loop_answers_every_call_once(paradigm, replies, budget, registry):
+    backend = scripted(*(reply(turn, *r) for turn, r in enumerate(replies)))
+    invoked, real_invoke = [], agent.invoke
+
+    def recording_invoke(registry, call, ctx):
+        invoked.append(call.call_id)
+        return real_invoke(registry, call, ctx)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agent, "invoke", recording_invoke)
+        if paradigm == "direct":
+            result = run_direct(backend, "Q?", QUERY)
+        elif paradigm == "rag":
+            result = run_rag(backend, registry, "Q?", QUERY)
+        else:
+            result = run_tool_agent(backend, registry, "Q?", QUERY, limits=SessionLimits(max_calls=budget))
+    messages = result.trace.messages
+    model_calls = []
+    for at, m in enumerate(messages):
+        if m.role == "assistant" and m.tool_calls:
+            ids = [tc.call_id for tc in m.tool_calls]
+            answers = messages[at + 1 : at + 1 + len(ids)]
+            assert [(a.role, a.tool_call_id) for a in answers] == [("tool", call_id) for call_id in ids]
+            model_calls += ids
+    assert [m.tool_call_id for m in messages if m.role == "tool"] == model_calls  # one answer each, no stray
+    assert [entry["call"]["call_id"] for entry in result.trace.audit] == invoked
+    if paradigm == "tool_agent":
+        assert invoked == model_calls
+        assert result.tool_calls_made == min(len(invoked), budget)
+    else:
+        assert invoked == (["rag_0", "rag_1", "rag_2", "rag_3"] if paradigm == "rag" else [])
+        assert result.tool_calls_made == 0
+        refused = [json.loads(m.content)["error_kind"] for m in messages if m.role == "tool"]
+        assert refused == ["budget_exhausted"] * len(model_calls)
+    assert result.stop_reason in STOP_REASONS
+
+
 # --- remote backend response parsing (requests.post is replaced; no network) --
 
 
@@ -414,6 +508,24 @@ def test_http_backend_arguments_nested_too_deep_are_malformed(monkeypatch, regis
     assert result.stop_reason != "backend_error"
     first_tool = next(m for m in result.trace.messages if m.role == "tool")
     assert json.loads(first_tool.content)["error_kind"] == "invalid_arguments"
+
+
+def test_http_backend_arguments_repeating_a_key_are_malformed(monkeypatch, registry, mscl_seq):
+    raw = '{"sequence_ref": "query", "sequence_ref": "other"}'
+    backend = http_backend(monkeypatch, {"content": None, "tool_calls": [http_tool_call(raw)]})
+    assert backend.complete([], None, DecodingParams()).tool_calls[0].arguments == {"__malformed__": raw}
+    result = run_tool_agent(backend, registry, "Q?", mscl_seq, max_turns=1)
+    first_tool = next(m for m in result.trace.messages if m.role == "tool")
+    assert json.loads(first_tool.content)["error_kind"] == "invalid_arguments"
+
+
+def test_http_backend_body_repeating_a_key_is_backend_error(monkeypatch):
+    backend = http_backend(monkeypatch, {"content": "x"})
+    reply = StubReply(None)
+    reply.text = '{"choices": [{"message": {"content": "a"}}], "choices": [{"message": {"content": "b"}}]}'
+    monkeypatch.setattr(backends.requests, "post", lambda *args, **kwargs: reply)
+    with pytest.raises(BackendError, match="duplicate key 'choices'"):
+        backend.complete([], None, DecodingParams())
 
 
 def test_http_backend_body_nested_too_deep_is_backend_error(monkeypatch, registry, mscl_seq):

@@ -299,7 +299,18 @@ def test_trace_show_non_trace_is_a_message(runner, tmp_path):
     path.write_text("[1]")
     result = runner.invoke(main, ["trace", "show", str(path)])
     assert result.exit_code == 1
-    assert f"Error: {path} is not a saved trace: " in result.output and result.output.count(str(path)) == 1
+    assert f"Error: {path} is not a saved trace: TypeError: a trace must be a JSON object" in result.output
+    assert result.output.count(str(path)) == 1
+
+
+def test_trace_show_mistyped_messages_is_a_message(runner, tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"session_id": "s", "created_at": "t", "paradigm": "direct", "messages": "ab"}))
+    result = runner.invoke(main, ["trace", "show", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert f"Error: {path} is not a saved trace: TypeError: messages must be a list of objects" in result.output
+    assert result.output.count(str(path)) == 1
 
 
 def test_trace_show_mistyped_message_is_a_message(runner, tmp_path):

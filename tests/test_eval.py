@@ -30,7 +30,6 @@ text_pair_st = st.tuples(
 def result(answer, stop="answer_found"):
     trace = ConversationTrace(session_id="s", created_at="t", paradigm="direct", messages=(), audit=())
     return SessionResult(
-        paradigm="direct",
         trace=trace,
         final_answer=answer,
         stop_reason=stop if answer is not None else "max_turns",
