@@ -6,21 +6,20 @@ costs open + (L-1)*extend). Bit scores use the published gapped-BLOSUM62
 Karlin-Altschul constants; E-values use m*n*2^(-bits) with n the total
 residue count of the store.
 
-Search is score first. A bit-parallel pass (local_score) computes the
-optimal local score of every prefilter candidate over a query profile
-packed into plain ints, one field per query position. A field is wide
-enough for the query's score bound B + 15 plus one headroom bit and a guard
-bit, where B is the smaller of the sum of each query residue's best
-BLOSUM62 score and 11 * the longest candidate. The candidates are ranked by
-that score, and smith_waterman aligns them in rank order only until one
-passes min_seq_id.
-
-smith_waterman runs the same packed pass over the query, keeping each
-target residue's H and E columns, then traces back from the best-scoring
-end cells through them (the SSW recipe: a SIMD score pass, then the
-alignment recovered from what it found). Its cost is one packed pass plus
-the path lengths of the end cells it traces, in row-major order up to the
-first path from (1, 1), which no other can beat.
+Search is best first and bounded, one packed Gotoh pass (_score_pass) per
+prefilter candidate, over a query profile packed into plain ints, one field
+per query position. A field is wide enough for the query's score bound
+B + 15 plus one headroom bit and a guard bit, where B is the smaller of the
+sum of each query residue's best BLOSUM62 score and 11 * the longest
+candidate. The candidates are visited by (-k-mer sites, ordinal). The
+accepted hit is the best-ranked candidate so far, by (-score, accession,
+ordinal), that passes min_seq_id, and its score is the floor of every later
+pass: a pass stops once the H cells it holds, plus each remaining target
+residue's best score against the query's letters, cannot reach it. A pass
+that outranks the accepted hit is traced back from the H and E columns it
+kept (the SSW recipe: a SIMD score pass, then the alignment recovered from
+what it stored), and replaces that hit if it passes min_seq_id.
+smith_waterman is the same pass and traceback for one pair.
 """
 
 from __future__ import annotations
@@ -287,6 +286,9 @@ class ScoreProfile:
     2**(width - 2), and the gap scan of _score_pass may add up to
     2**(width - 3) to one without reaching the guard. local_score is exact on
     targets of at most `longest` residues.
+
+    `bounds[c]` is the most one target residue c can add to an H cell: its
+    best BLOSUM62 score against the query's letters, never below 0.
     """
 
     length: int
@@ -294,6 +296,7 @@ class ScoreProfile:
     rows: dict[str, int]
     ones: int  # 1 in every field
     guards: int  # the guard bit of every field
+    bounds: dict[str, int]
 
 
 def score_profile(query: Sequence, longest: int) -> ScoreProfile:
@@ -310,14 +313,26 @@ def score_profile(query: Sequence, longest: int) -> ScoreProfile:
         bit <<= width
     rows = {c: sum((BLOSUM62[(q, c)] + _SCORE_BIAS) * m for q, m in masks.items()) for c in KMER_ALPHABET}
     ones = sum(masks.values())
-    return ScoreProfile(n, width, rows, ones, ones << (width - 1))
+    bounds = {c: max([0] + [BLOSUM62[(q, c)] for q in masks]) for c in KMER_ALPHABET}
+    return ScoreProfile(n, width, rows, ones, ones << (width - 1), bounds)
 
 
-def _score_pass(profile: ScoreProfile, target: str, h_cols: list | None = None, e_cols: list | None = None) -> int:
-    """The fieldwise maximum of H over target: each query position's best
-    H cell under the Gotoh recurrences, by whole columns. When h_cols and
-    e_cols are lists, each residue of target appends its H column and the E
-    column it used to them.
+def _score_pass(profile: ScoreProfile, target: str, floor: int = 0) -> tuple[int, list[int], list[int]] | None:
+    """One packed Gotoh pass over target: (peaks, h_cols, e_cols), or None
+    once no cell still to come can score floor.
+
+    peaks is the fieldwise maximum of H, each query position's best H cell.
+    h_cols[j] is the H column of target residue j (1-based) and e_cols[j] the
+    E column it used; column 0 is the border, all 0. floor is at most
+    2**(width - 1), above every score the profile can reach.
+
+    The bound: a column's cells descend from the previous column's H (E and
+    F are never above H) or start fresh, and gain at most the residue's
+    entry in profile.bounds. So with `rest` the sum of those entries over
+    the residues still to come, no later cell scores above the previous
+    column's largest H + rest. The pass gives up when rest < floor, no field
+    of peaks is >= floor and no field of H is >= floor - rest. A pass whose
+    score is >= floor always runs to the end.
 
     One pass per target residue, each of a few operations on plain ints whose
     fields are the query positions (SWAR). H, E and F are floored at 0, which
@@ -337,12 +352,14 @@ def _score_pass(profile: ScoreProfile, target: str, h_cols: list | None = None, 
     it, so the shifts 1, 2, ..., 2**(width - 3) carry every gap its whole
     way.
     """
-    width, rows, ones, guards = profile.width, profile.rows, profile.ones, profile.guards
+    width, rows, ones, guards, bounds = profile.width, profile.rows, profile.ones, profile.guards, profile.bounds
     top = width - 1
     bias, extend_open, gap_open = _SCORE_BIAS * ones, (GAP_OPEN - GAP_EXTEND) * ones, GAP_OPEN * ones
     # (shift in bits, decay) per doubling step of the gap scan.
     steps = [(width << k, ones << k) for k in range(width - 2)]
     h = f = best = 0
+    h_cols, e_cols = [0], [0]
+    rest, floors = sum(map(bounds.__getitem__, target)), floor * ones
     # Every fieldwise max(u, v) below is v + ((u - v) where u >= v, else 0):
     # with the guards set, u - v leaves a field's guard set exactly where
     # u >= v, and g - (g >> top) turns those guards into masks of their
@@ -351,6 +368,12 @@ def _score_pass(profile: ScoreProfile, target: str, h_cols: list | None = None, 
     # borrow only runs upwards, and the masks cover the fields alone, so no
     # result keeps them.
     for c in target:
+        if rest < floor:
+            if ((best | guards) - floors) & guards:
+                floor = 0  # the score reaches floor: run to the end
+            elif not ((h | guards) - (floor - rest) * ones) & guards:
+                return None
+        rest -= bounds[c]
         # H without F: max(diagonal, E) = max(H(i-1, j-1) + s + 4, E + 4) - 4,
         # where E + 4 >= 4 makes the floor at 0 free.
         u = (h << width) + rows[c]
@@ -373,9 +396,8 @@ def _score_pass(profile: ScoreProfile, target: str, h_cols: list | None = None, 
             d = (h | guards) - e
             g = d & guards
             h = e + (d & (g - (g >> top)))
-        if h_cols is not None:
-            h_cols.append(h)
-            e_cols.append(f)
+        h_cols.append(h)
+        e_cols.append(f)
         # E for the next column: max(H - 11, E - 1) = max(H, E + 10) - 11, floored at 0.
         v = f + extend_open
         d = (h | guards) - v
@@ -386,7 +408,7 @@ def _score_pass(profile: ScoreProfile, target: str, h_cols: list | None = None, 
         d = (best | guards) - h
         g = d & guards
         best = h + (d & (g - (g >> top)))
-    return best
+    return best, h_cols, e_cols
 
 
 def _largest_field(profile: ScoreProfile, packed: int) -> int:
@@ -408,43 +430,34 @@ def _largest_field(profile: ScoreProfile, packed: int) -> int:
 def local_score(profile: ScoreProfile, target: str) -> int:
     """The score smith_waterman reports for (query, target), 0 when it reports
     None: the largest H cell of one packed pass (_score_pass)."""
-    return _largest_field(profile, _score_pass(profile, target))
+    return _largest_field(profile, _score_pass(profile, target)[0])
 
 
-def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
-    """Optimal local alignment under affine gaps (Gotoh recurrences).
+def _trace_back(
+    profile: ScoreProfile, query: str, target: str, h_cols: list[int], e_cols: list[int], best: int, peaks: int
+) -> Alignment:
+    """The alignment smith_waterman reports, traced back from the columns and
+    peaks of a _score_pass of query's profile over target; best > 0 is the
+    largest field of peaks.
 
-    BLOSUM62 scores; a gap of length L costs GAP_OPEN + (L-1)*GAP_EXTEND.
-    Returns None when no alignment scores above zero.
-
-    Score pass, then traceback. The packed pass of local_score over a's
-    profile keeps, per residue of b, its H column and the E column it used,
-    two ints of len(a) fields. Each best-scoring end cell is then traced
-    back through them under these tie rules: in an H cell the diagonal beats
-    E and E beats F on equal scores; a gap opens rather than extends on
-    equal scores; a diagonal step from an H cell of 0 starts the path. Of
-    the end cells, the one whose path has the smallest (query_start,
-    target_start) is reported, then the first in row-major order.
+    Each best-scoring end cell is traced back through the columns under
+    these tie rules: in an H cell the diagonal beats E and E beats F on
+    equal scores; a gap opens rather than extends on equal scores; a
+    diagonal step from an H cell of 0 starts the path. Of the end cells, the
+    one whose path has the smallest (query_start, target_start) is reported,
+    then the first in row-major order.
 
     Every H, E and F value on an optimal path is > 0, so a field the pass
     floored at 0 never equals one, and testing a cell's value for equality
     with each predecessor in the order above picks the predecessor the
     recurrences chose. F is not stored: along a path its values follow from
-    the H cells above. The cost is one packed pass plus the path lengths of
-    the end cells traced; tracing stops at the first path that starts at
-    (1, 1), which no other can beat. The columns take about 2 * width bits
-    per cell (4 MB for 1000 x 1000 random residues, in 15-bit fields).
+    the H cells above. H values are exact whatever the field width, so any
+    profile of query that fits target will do. The cost is the path lengths
+    of the end cells traced; tracing stops at the first path that starts at
+    (1, 1), which no other can beat.
     """
-    ra, rb = a.residues, b.residues
-    profile = score_profile(a, len(rb))
     width = profile.width
     mask = (1 << width) - 1
-    # Column j of H and E at index j; column 0 is the border, all 0.
-    h_cols, e_cols = [0], [0]
-    peaks = _score_pass(profile, rb, h_cols, e_cols)
-    best = _largest_field(profile, peaks)
-    if not best:
-        return None
     # End cells in row-major order, each as (field shift, column): the
     # query positions whose fields of peaks hold best (a zero-field test on
     # peaks ^ best), then the columns where that field of H does. Lazily, so
@@ -465,7 +478,7 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
         identities = steps = 0
         while True:
             x = h_cols[j - 1] >> (at - width) & mask if at else 0
-            c, d = ra[i - 1], rb[j - 1]
+            c, d = query[i - 1], target[j - 1]
             if v == x + BLOSUM62[(c, d)]:
                 steps += 1
                 identities += c == d
@@ -474,7 +487,7 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
                 i, j, at, v = i - 1, j - 1, at - width, x
                 continue
             if v == e_cols[j] >> at & mask:
-                # E: back along b to the H cell the gap opened from.
+                # E: back along target to the H cell the gap opened from.
                 while True:
                     steps += 1
                     j -= 1
@@ -483,7 +496,7 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
                         break
                     v += GAP_EXTEND
             else:
-                # F: back along a likewise.
+                # F: back along query likewise.
                 while True:
                     steps += 1
                     i -= 1
@@ -501,6 +514,26 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
     return Alignment(best, qs, qe, ts, te, identities, steps)
 
 
+def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
+    """Optimal local alignment under affine gaps (Gotoh recurrences).
+
+    BLOSUM62 scores; a gap of length L costs GAP_OPEN + (L-1)*GAP_EXTEND.
+    Returns None when no alignment scores above zero.
+
+    Score pass, then traceback: the packed pass of local_score over a's
+    profile keeps, per residue of b, its H column and the E column it used,
+    two ints of len(a) fields; _trace_back then follows the best-scoring end
+    cells through them. The columns take about 2 * width bits per cell
+    (4 MB for 1000 x 1000 random residues, in 15-bit fields).
+    """
+    profile = score_profile(a, len(b.residues))
+    peaks, h_cols, e_cols = _score_pass(profile, b.residues)
+    best = _largest_field(profile, peaks)
+    if not best:
+        return None
+    return _trace_back(profile, a.residues, b.residues, h_cols, e_cols, best, peaks)
+
+
 def bit_score(raw_score: int) -> float:
     return (KA_LAMBDA * raw_score - math.log(KA_K)) / math.log(2)
 
@@ -510,7 +543,9 @@ def e_value(bits: float, query_len: int, db_residues: int) -> float:
 
 
 def _candidate_ordinals(index: ReferenceIndex, query: Sequence) -> list[int]:
-    """Entries sharing >= DEFAULT_KMER_HIT_THRESHOLD k-mers on nearby diagonals."""
+    """Entries sharing >= DEFAULT_KMER_HIT_THRESHOLD k-mers on nearby
+    diagonals, best first: by (-sites, ordinal), where an entry's sites are
+    its k-mer matches with the query."""
     keys = index.keys
     diagonals: dict[int, list[int]] = {}
     for qpos, code in enumerate(_kmer_codes(query.residues)):
@@ -527,21 +562,21 @@ def _candidate_ordinals(index: ReferenceIndex, query: Sequence) -> list[int]:
         diags.sort()
         for lo in range(len(diags) - last):
             if diags[lo + last] - diags[lo] <= DIAGONAL_BAND:
-                out.append(ordinal)
+                out.append((-len(diags), ordinal))
                 break
-    return sorted(out)
+    return [ordinal for _, ordinal in sorted(out)]
 
 
 def search_best_hit(index: ReferenceIndex, query: Sequence, min_seq_id: float = DEFAULT_MIN_SEQ_ID) -> BestHit | None:
     """Best hit by (lowest E-value, highest bits, lexicographic accession)
     among the prefilter candidates that pass min_seq_id.
 
-    Score first: local_score scores every candidate, and the ones scoring
-    above 0 are ranked by (-score, accession, ordinal). For a fixed query
-    and store, bits and E-value are strictly monotone in the raw score, and
-    equal scores give equal floats, so this is the order named above.
-    smith_waterman then aligns the candidates in that order until one
-    passes min_seq_id, and that one is the hit; the rest are never aligned.
+    For a fixed query and store, bits and E-value are strictly monotone in
+    the raw score, and equal scores give equal floats, so the hit is the
+    candidate first in (-score, accession, ordinal) order among those that
+    pass min_seq_id. Each candidate gets one _score_pass, in the best-first
+    order and under the floor the module docstring describes; none is
+    aligned twice.
     """
     if not index.entries:
         raise SchemaError("search against an empty index")
@@ -550,28 +585,35 @@ def search_best_hit(index: ReferenceIndex, query: Sequence, min_seq_id: float = 
         return None
     entries = index.entries
     profile = score_profile(query, max(entries[o].sequence.length for o in ordinals))
-    ranked = []
+    hit = None  # (rank, alignment, pident) of the accepted hit
+    floor = 0
     for ordinal in ordinals:
         entry = entries[ordinal]
-        raw = local_score(profile, entry.sequence.residues)
-        if raw > 0:
-            ranked.append((-raw, entry.accession, ordinal))
-    ranked.sort()
-    for _, accession, ordinal in ranked:
-        aln = smith_waterman(query, entries[ordinal].sequence)
-        pident = 100.0 * aln.identities / aln.aligned_length
-        if pident < min_seq_id * 100.0:
+        target = entry.sequence.residues
+        scored = _score_pass(profile, target, floor)
+        if scored is None:
             continue
-        bits = bit_score(aln.score)
-        return BestHit(
-            query=query.id,
-            target=accession,
-            pident=round(pident, 1),
-            alnlen=aln.aligned_length,
-            evalue=float(f"{e_value(bits, query.length, index.total_residues):.4g}"),
-            bits=round(bits, 1),
-        )
-    return None
+        peaks, h_cols, e_cols = scored
+        score = _largest_field(profile, peaks)
+        rank = (-score, entry.accession, ordinal)
+        if not score or (hit is not None and rank > hit[0]):
+            continue
+        aln = _trace_back(profile, query.residues, target, h_cols, e_cols, score, peaks)
+        pident = 100.0 * aln.identities / aln.aligned_length
+        if pident >= min_seq_id * 100.0:
+            hit, floor = (rank, aln, pident), score
+    if hit is None:
+        return None
+    (_, accession, _), aln, pident = hit
+    bits = bit_score(aln.score)
+    return BestHit(
+        query=query.id,
+        target=accession,
+        pident=round(pident, 1),
+        alnlen=aln.aligned_length,
+        evalue=float(f"{e_value(bits, query.length, index.total_residues):.4g}"),
+        bits=round(bits, 1),
+    )
 
 
 def make_evidence(hit: BestHit, annotations: dict[str, AnnotationRecord]) -> dict:

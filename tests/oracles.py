@@ -6,6 +6,7 @@ otherwise, so agreement is meaningful.
 """
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 from protagent.blosum62 import BLOSUM62
@@ -381,6 +382,12 @@ def reference_candidate_ordinals(entries, query: Sequence) -> list[int]:
                 out.append(ordinal)
                 break
     return sorted(out)
+
+
+def reference_kmer_sites(query: str, target: str) -> int:
+    """The pairs of equal 5-mers of query and target, counted by string."""
+    counts = Counter(target[off : off + K] for off in range(len(target) - K + 1))
+    return sum(counts[query[qpos : qpos + K]] for qpos in range(len(query) - K + 1))
 
 
 def reference_search_best_hit(

@@ -15,6 +15,7 @@ from oracles import (
     gotoh_row_maxima,
     reference_candidate_ordinals,
     reference_index_keys,
+    reference_kmer_sites,
     reference_search_best_hit,
     reference_smith_waterman,
     rolling_kmer_codes,
@@ -355,6 +356,28 @@ def test_score_fills_the_widest_field():
     assert local_score(profile, w) == 33000
 
 
+@given(st.one_of(st.tuples(medium_st, medium_st), tie_heavy_pairs()))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_bounded_pass_gives_up_only_below_its_floor(pair):
+    # A pass bounded below by floor returns None only when the unbounded
+    # score is below floor, and otherwise exactly the unbounded peaks and
+    # columns. A sequence against itself scores the sum of its residues'
+    # bounds, so the bound is tight from the first column: one point above
+    # the score, the pass must give up at once.
+    a, b = pair
+    profile = score_profile(seq(a, "q"), len(b))
+    full = homology._score_pass(profile, b)
+    score = homology._largest_field(profile, full[0])
+    for floor in {0, max(0, score - 1), score, score + 1}:
+        got = homology._score_pass(profile, b, floor)
+        if got is None:
+            assert score < floor, (a, b, floor)
+        else:
+            assert got == full, (a, b, floor)
+    if a == b:
+        assert homology._score_pass(profile, b, score + 1) is None, a
+
+
 # --- field width and gap scan ------------------------------------------------
 
 # Letters by their best BLOSUM62 score (the diagonal).
@@ -386,7 +409,7 @@ def assert_field_maxima_match_reference(a: str, b: str) -> list[int]:
     profile equals the reference DP's row maximum, with nothing above the
     top field; returns them."""
     profile = score_profile(seq(a, "q"), len(b))
-    packed = homology._score_pass(profile, b)
+    packed = homology._score_pass(profile, b)[0]
     assert packed >> (profile.length * profile.width) == 0
     got = packed_fields(profile, packed)
     assert got == gotoh_row_maxima(a, b), (a, b)
@@ -560,7 +583,8 @@ def assert_candidates_match_reference(entries, queries) -> int:
     for q in queries:
         query = seq(q, "query")
         got = _candidate_ordinals(index, query)
-        assert got == reference_candidate_ordinals(entries, query), q
+        assert sorted(got) == reference_candidate_ordinals(entries, query), q
+        assert got == sorted(got, key=lambda o: (-reference_kmer_sites(q, entries[o].sequence.residues), o)), q
         nonempty += bool(got)
     return nonempty
 
@@ -658,8 +682,8 @@ def test_candidates_equal_reference_at_code_edges():
     assert assert_candidates_match_reference(entries, queries) > 0
     assert assert_candidates_match_reference(entries[::-1], queries) > 0
     index = build_index(entries)
-    assert _candidate_ordinals(index, seq("AAAAAA")) == [0, 1]
-    assert _candidate_ordinals(index, seq("YYYYYY")) == [4, 5]
+    assert sorted(_candidate_ordinals(index, seq("AAAAAA"))) == [0, 1]
+    assert sorted(_candidate_ordinals(index, seq("YYYYYY"))) == [4, 5]
     assert _candidate_ordinals(index, seq("CCCCCC")) == []
     # The top code's one site is the last key; past WWWWW there is no key.
     index = build_index([entry("E0", "AAAAA"), entry("E1", "MYYYYY")])
@@ -832,7 +856,7 @@ def test_load_reference_store_rejects_duplicate_fasta_id(tmp_path):
         homology.load_reference_store(str(fasta), str(ann))
 
 
-# --- score-first search against the align-everything oracle ---------------
+# --- best-first search against the align-everything oracle ----------------
 
 
 def assert_search_matches_reference(index, query, min_seq_ids=(0.0, 0.3, 0.6, 0.9, 1.0)) -> list:
@@ -925,3 +949,82 @@ def test_search_repeatable_best_hit(store_index):
     q = Sequence(id="query", residues="".join(mutated))
     hits = {json.dumps(to_json(search_best_hit(store_index, q))) for _ in range(5)}
     assert len(hits) == 1
+
+
+def test_most_sites_scoring_below_another_is_passed_over():
+    # MANY repeats a 10-residue piece of the query six times: the most k-mer
+    # sites, so it is scored first, but a low score. HOMOLOG differs from the
+    # query at every sixth residue: one shared 5-mer per block, the best
+    # score, and 83% identity, so MANY wins above that.
+    rng = random.Random(43)
+    q = random_residues(rng, CANONICAL_RESIDUES, 90, 90)
+    homolog = "".join(NEIGHBOUR.get(c, "W") if i % 6 == 5 else c for i, c in enumerate(q))
+    index = build_index([entry("HOMOLOG", homolog), entry("MANY", q[:10] * 6)])
+    query = seq(q, "query")
+    assert _candidate_ordinals(index, query) == [1, 0]
+    many_aln, homolog_aln = (smith_waterman(query, index.entries[o].sequence) for o in (1, 0))
+    assert many_aln.score < homolog_aln.score
+    hits = assert_search_matches_reference(index, query)
+    assert [h.target for h in hits] == ["HOMOLOG", "HOMOLOG", "HOMOLOG", "MANY", "MANY"]
+
+
+def test_later_candidate_tying_the_accepted_score_wins_on_accession():
+    # Z1 is A1 with the query's first 20 residues after it: more sites, but
+    # the query ends where A1 does, so the piece adds nothing to the score.
+    # Z1 is scored and accepted first; A1 ties it and must still be scored,
+    # and wins on its accession.
+    rng = random.Random(47)
+    q = random_residues(rng, CANONICAL_RESIDUES, 80, 80)
+    index = build_index([entry("Z1", q[40:] + q[:20]), entry("A1", q[40:])])
+    query = seq(q, "query")
+    assert _candidate_ordinals(index, query) == [0, 1]
+    z_aln, a_aln = (smith_waterman(query, e.sequence) for e in index.entries)
+    assert z_aln.score == a_aln.score
+    hits = assert_search_matches_reference(index, query)
+    assert [h.target for h in hits] == ["A1"] * 5
+
+
+def test_most_sites_failing_min_seq_id_sets_no_floor():
+    # TOP is the whole query swapped for positive-scoring neighbours, then the
+    # query's first 30 residues: the most sites and the best score, at low
+    # identity. EXACT, a 25-residue piece of the query, scores less at full
+    # identity; it is scored after TOP fails min_seq_id and must not be
+    # abandoned.
+    rng = random.Random(53)
+    q = random_residues(rng, CANONICAL_RESIDUES, 90, 90)
+    index = build_index([entry("EXACT", q[40:65]), entry("TOP", neighbour_swapped(q, 0) + q[:30])])
+    query = seq(q, "query")
+    assert _candidate_ordinals(index, query) == [1, 0]
+    exact_aln, top_aln = (smith_waterman(query, e.sequence) for e in index.entries)
+    assert top_aln.score > exact_aln.score
+    assert top_aln.identities / top_aln.aligned_length < 0.3
+    hits = assert_search_matches_reference(index, query)
+    assert [h.target for h in hits] == ["TOP", "EXACT", "EXACT", "EXACT", "EXACT"]
+
+
+def test_search_runs_one_pass_per_candidate_and_no_smith_waterman(monkeypatch):
+    rng = random.Random(59)
+    bases = [random_residues(rng, CANONICAL_RESIDUES, 40, 120) for _ in range(12)]
+    entries = [entry(f"B{i:02d}", b) for i, b in enumerate(bases)]
+    entries += [entry(f"H{i:02d}", mutated_homolog(rng, b)) for i, b in enumerate(bases)]
+    index = build_index(entries)
+    passes = []
+    score_pass = homology._score_pass
+
+    def counted(profile, target, floor=0):
+        passes.append(target)
+        return score_pass(profile, target, floor)
+
+    def forbidden(a, b):
+        raise AssertionError("search_best_hit called smith_waterman")
+
+    monkeypatch.setattr(homology, "_score_pass", counted)
+    monkeypatch.setattr(homology, "smith_waterman", forbidden)
+    found = 0
+    for i, b in enumerate(bases):
+        query = seq(mutated_homolog(rng, b), f"q{i}")
+        passes.clear()
+        found += search_best_hit(index, query) is not None
+        want = [entries[o].sequence.residues for o in _candidate_ordinals(index, query)]
+        assert passes == want, i
+    assert found >= 10
