@@ -150,17 +150,31 @@ class _PackedProfile:
     Bounds, for sequences of at most `length` residues and A (here a) above
     the largest absolute finite score of the profile: a path scores at most
     length * A, since each residue adds one emission and transitions are
-    <= 0. A cell matters only if some continuation lifts it to a candidate
-    >= 0 for M, which beats or ties the fresh entry at 0; that takes a cell
-    >= -length * A, as no continuation gains more. So the floor, score
-    A - bias < -length * A, sits below every cell that matters, and so do
-    all cells grown from it: in any max, a cell that matters wins over them,
-    and clipping a cell up to the floor changes no result. Every max takes
-    the floor or a fresh entry as one side, so a cell is at least the floor
-    (or 0 where an emission is -inf), an emission >= -A never takes it below
-    0, and a probability-zero transition costs `dead`, more than any cell
-    holds. (A bias of a few A would not do: an insert chain at a node whose
-    match state cannot emit may sink far below 0 and climb back.)
+    <= 0, so no cell reaches `cap` = length * A. Every max takes a floor or
+    a fresh entry as one side, so a cell is never below 0 (0 itself where an
+    emission is -inf), and a probability-zero transition costs `dead`, more
+    than any cell holds.
+
+    Floors. A D or I cell matters only if some continuation lifts it to a
+    candidate >= 0 for M: that beats or ties the fresh entry at 0, and a tie
+    goes to the smaller origin, the cell's. Each node's D, and its I before
+    the emission, has a least score `need` that can do so, and its floor is
+    below(need), the largest value whose score is under need (need capped
+    at `cap`). A cell at or below its floor, and every cell grown from it,
+    loses to a fresh entry, so clipping cells up to the floor changes no
+    result; and a floor grows into nothing above the floors it feeds, so a
+    row with no live cell of a state stays at that state's floors.
+
+    - D_k: need_D[k] is the least cost from D_k to an M, its DD steps to
+      some D_j and then DM_j: min(DM_k, DD_k + need_D[k + 1]). The last
+      node's D reaches no M.
+    - I_k, on Y_k = max(M_k - MI_k, I_k - II_k) of the previous row: if no
+      insert emission at node k (X scores 0) beats II_k, a chain of Y_k from
+      s stays <= s, and its best M candidate is s + e_max - IM_k, so
+      need_Y[k] = IM_k - e_max (none for the last node, whose I reaches no
+      M). If one does, a chain may sink far below 0 and climb back, and the
+      floor is a - bias < -length * A: a cell needs >= -length * A to reach
+      M at >= 0, and no continuation gains length * A.
     """
 
     def __init__(self, hmm: ProfileHmm, length: int):
@@ -169,6 +183,7 @@ class _PackedProfile:
         finite = [abs(v) for table in (match, insert) for row in table.values() for v in row if v > -math.inf]
         finite += [-v for row in trans for v in row if v > -math.inf]
         a = max(finite, default=0) + 1
+        cap = length * a
         self.bias = bias = (length + 1) * a + 1
         self.width = width = nodes + 1
         self.origin_bits = ((length + 1) * width).bit_length()
@@ -186,13 +201,30 @@ class _PackedProfile:
         def pack(values):
             return sum(v << (f * field) for f, v in enumerate(values))
 
+        def below(need):
+            return (min(need, cap) + bias) * unit - 1
+
         # Transition costs, in score units: node k's at field k - 1.
         MM, MI, MD, IM, II, DM, DD = range(7)
         cost = [[dead if v == -math.inf else -v for v in row] for row in trans]
         self.mm, self.im, self.dm, self.ii = (pack(c[col] * unit for c in cost) for col in (MM, IM, DM, II))
-        self.floor = floor = a * unit * ones
-        self.floor_mi = floor + pack(c[MI] * unit for c in cost)
-        self.floor_md = floor + pack(c[MD] * unit for c in cost)
+        # D floors: node k's at field k - 2, where D_k is taken before its
+        # shift up one field (D_1 is never entered). The top field stands for
+        # a node past the last, which no cell reaches.
+        need_d = [cap]
+        for c in reversed(cost[:-1]):
+            need_d.append(min(c[DM], c[DD] + need_d[-1]))
+        self.floor_d = pack([below(need) for need in reversed(need_d[:-1])] + [below(cap)])
+        self.floor_md = self.floor_d + pack(c[MD] * unit for c in cost)
+        floor_y = []
+        for k, c in enumerate(cost):
+            top_insert = max(row[k] for row in insert.values())
+            if top_insert > c[II]:
+                floor_y.append(a * unit)
+            else:
+                floor_y.append(below(cap if k == nodes - 1 else c[IM] - top_insert))
+        self.floor_y = pack(floor_y)
+        self.floor_mi = self.floor_y + pack(c[MI] * unit for c in cost)
         # Fresh entries at row 0: node k at field k - 1, and node k + 1 at field
         # k - 1, where a candidate from node k waits for its shift.
         self.fresh_first = bias * unit + max_origin - 1
@@ -383,13 +415,22 @@ def viterbi_score(hmm: ProfileHmm, seq: Sequence):
     v - (u + c) leaves a field's guard set exactly where v >= u + c, and
     g - (g >> top) turns those guards into masks of their fields' value bits.
     The result is never below u, so no field goes below 0.
+
+    A row holds no D cell that can reach a match state when no M cell
+    reaches its D floor through MD, which the guards of that max show; it
+    holds no such I cell when every field of I, before its emission, is at
+    its floor. Then the row's DD scan and the next row's D->M max, or the
+    next row's I->M and II maxes, are skipped: a floor and all it grows lose
+    every max they would enter.
     """
     p = hmm.packed(seq.length)
     field, guards, fields, step, top = p.field, p.guards, p.fields, p.step, p.field - 1
-    mm, im, dm, ii, floor, floor_mi, floor_md = p.mm, p.im, p.dm, p.ii, p.floor, p.floor_mi, p.floor_md
+    mm, im, dm, ii, floor_y, floor_mi = p.mm, p.im, p.dm, p.ii, p.floor_y, p.floor_mi
+    floor_d, floor_md = p.floor_d, p.floor_md
     match, insert, dd_spans, width = p.match, p.insert, p.dd_spans, p.width
     fresh_first, fresh_next_mm = p.fresh_first, p.fresh_next_mm
     m = i = d = best = 0
+    i_live = d_live = False
     bests = []
     for c in seq.residues:
         fresh_first -= width
@@ -399,21 +440,26 @@ def viterbi_score(hmm: ProfileHmm, seq: Sequence):
         t = (m | guards) - fresh_next_mm
         g = t & guards
         x = fresh_next_mm - mm + (t & (g - (g >> top)))
-        t = (i | guards) - (x + im)
-        g = t & guards
-        x += t & (g - (g >> top))
-        t = (d | guards) - (x + dm)
-        g = t & guards
-        x += t & (g - (g >> top))
+        if i_live:
+            t = (i | guards) - (x + im)
+            g = t & guards
+            x += t & (g - (g >> top))
+        if d_live:
+            t = (d | guards) - (x + dm)
+            g = t & guards
+            x += t & (g - (g >> top))
         # I_k: M or I at node k of the previous row, never below the floor.
         t = (m | guards) - floor_mi
         g = t & guards
-        y = floor + (t & (g - (g >> top)))
-        t = (i | guards) - (y + ii)
-        g = t & guards
-        y += t & (g - (g >> top))
-        emit, live = insert[c]
-        i = y + emit if live is None else (y + emit) & live
+        y = floor_y + (t & (g - (g >> top)))
+        if i_live:
+            t = (i | guards) - (y + ii)
+            g = t & guards
+            y += t & (g - (g >> top))
+        i_live = y != floor_y
+        if i_live:
+            emit, live = insert[c]
+            i = y + emit if live is None else (y + emit) & live
         emit, live = match[c]
         m = ((x << field) & fields | fresh_first) + emit
         if live is not None:
@@ -423,14 +469,16 @@ def viterbi_score(hmm: ProfileHmm, seq: Sequence):
         # so after that no longer shift can.
         t = (m | guards) - floor_md
         g = t & guards
-        d = ((floor + (t & (g - (g >> top)))) << field) & fields
-        for shift, cost in dd_spans:
-            t = ((d << shift) | guards) - (d + cost)
-            g = t & guards
-            t &= g - (g >> top)
-            if not t:
-                break
-            d += t
+        d_live = g != 0
+        if d_live:
+            d = ((floor_d + (t & (g - (g >> top)))) << field) & fields
+            for shift, cost in dd_spans:
+                t = ((d << shift) | guards) - (d + cost)
+                g = t & guards
+                t &= g - (g >> top)
+                if not t:
+                    break
+                d += t
         t = (m | guards) - best
         g = t & guards
         best += t & (g - (g >> top))

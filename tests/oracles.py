@@ -599,6 +599,43 @@ def reference_viterbi(hmm: ProfileHmm, residues: str):
     return (best[0] / SCALE, best[2], hmm_to, best[1], ali_to)
 
 
+def reference_least_cost_to_match(hmm: ProfileHmm):
+    """The least score, per node, from which a D or I cell can still reach M.
+
+    Returns (need_d, need_y), one entry per node in whole 1/SCALE bits: a
+    cell whose score is below its node's need can enter no match state at
+    >= 0. need_d[k - 1] is the least cost of D_k's paths to an M, each DD
+    chain D_k .. D_j followed by DM_j, enumerated one by one; math.inf where
+    no such path has only finite steps. need_y[k - 1] applies to I_k before
+    its emission: IM_k less the best insert emission (X included), or
+    math.inf where I_k enters no M (IM_k is zero, or k is the last node).
+    It is None where some insert emission beats II_k: there a chain of I_k
+    cells can climb, and no such need holds.
+    """
+    _, insert_s, trans_s = _profile_scores(hmm)
+    L = hmm.model_length
+    MM, MI, MD, IM, II, DM, DD = range(7)
+    need_d = []
+    for k in range(1, L + 1):
+        costs = []
+        for j in range(k, L):  # D_j -> M_(j+1) exists for j < L
+            steps = [trans_s[i - 1][DD] for i in range(k, j)] + [trans_s[j - 1][DM]]
+            if all(s > -math.inf for s in steps):
+                costs.append(-sum(steps))
+        need_d.append(min(costs, default=math.inf))
+    need_y = []
+    for k in range(1, L + 1):
+        top = max(insert_s[k - 1].values())
+        im, ii = trans_s[k - 1][IM], trans_s[k - 1][II]
+        if top > -ii:
+            need_y.append(None)
+        elif k == L or im == -math.inf:
+            need_y.append(math.inf)
+        else:
+            need_y.append(-im - top)
+    return need_d, need_y
+
+
 def reference_float_viterbi(hmm: ProfileHmm, residues: str):
     """The local Viterbi kernel over float bits that the fixed-point one
     replaced: the same recurrences and tie rules, with unrounded scores.

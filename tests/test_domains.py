@@ -3,9 +3,17 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MSCL_RESIDUES, data_path
-from oracles import brute_viterbi_bits, random_profile, reference_float_viterbi, reference_viterbi
+from oracles import (
+    brute_viterbi_bits,
+    random_profile,
+    reference_float_viterbi,
+    reference_least_cost_to_match,
+    reference_viterbi,
+)
 from protagent.domains import (
     SCALE,
     DomainHit,
@@ -340,21 +348,24 @@ def test_integer_bits_stay_near_float_bits():
             assert abs(got[0] - expected[0]) <= 2 * (n + hmm.model_length) * 0.5 / SCALE
 
 
-def test_viterbi_keeps_an_insert_chain_that_sinks_and_climbs():
-    # M_1 emits only A, so after "A" the only live cells at node 1 are its
-    # inserts: ten C's sink them ~66 bits below zero, thirty W's lift them
-    # back by ~127. The winner enters at residue 1 and leaves I_1 for M_2,
-    # so no floor above the sunk cells may cut them off.
-    letters = sorted(CANONICAL_RESIDUES)
-    only_a = [1.0 if r == "A" else 0.0 for r in letters]
-    chain = profile_from_probs(
+def sink_and_climb_profile():
+    """Two nodes; M_1 emits only A, and I_1 emits W at 0.95 and C at 0.0005."""
+    only_a = [1.0 if r == "A" else 0.0 for r in sorted(CANONICAL_RESIDUES)]
+    return profile_from_probs(
         "Chain",
         [only_a, UNIFORM_ROW],
         [row_with({"C": 0.0005, "W": 0.95}), UNIFORM_ROW],
         [[0.25, 0.5, 0.25, 0.001, 0.999, 0.5, 0.5], [0.9, 0.05, 0.05, 0.5, 0.5, 0.5, 0.5]],
     )
+
+
+def test_viterbi_keeps_an_insert_chain_that_sinks_and_climbs():
+    # M_1 emits only A, so after "A" the only live cells at node 1 are its
+    # inserts: ten C's sink them ~66 bits below zero, thirty W's lift them
+    # back by ~127. The winner enters at residue 1 and leaves I_1 for M_2,
+    # so no floor above the sunk cells may cut them off.
     res = "A" + "C" * 10 + "W" * 30
-    got = assert_kernel_matches_reference(chain, res)
+    got = assert_kernel_matches_reference(sink_and_climb_profile(), res)
     assert got[1:] == (1, 2, 1, 41) and got[0] > 50
 
 
@@ -394,6 +405,18 @@ def test_viterbi_tie_breaks_inside_insert_and_delete_states():
         ],
     )
     assert viterbi_score(delete_tie, seq("AA")) == (3.0, 1, 4, 1, 2)
+    # Insert tie at the need: on "ACD", I_1 at residue 2 holds exactly 0 bits
+    # (M_1's 2 less MI's 2) and emits C at 0 bits; no insert emission beats
+    # II (probability 0), so 0 is the least I_1 score that can reach M.
+    # Through IM at probability 1 it enters M_2 at residue 3 at 0 bits, ties
+    # the fresh M_2 there and wins on the smaller origin (1, 1).
+    insert_need_tie = profile_from_probs(
+        "InsNeedTie",
+        [row_with({"A": 0.2}), row_with({"D": 0.8})],
+        [UNIFORM_ROW] * 2,
+        [[0.5, 0.25, 0.25, 1.0, 0.0, 0.5, 0.5]] * 2,
+    )
+    assert viterbi_score(insert_need_tie, seq("ACD")) == (4.0, 1, 2, 1, 3)
     # End-cell tie: on "ACDW", M_1 M_2 M_3 ends at (residue 3, node 3) and
     # M_1 I_1 I_1 M_2 at (residue 4, node 2), both 9 bits from origin (1, 1);
     # the first end cell in (residue, node) order wins, not the smaller node.
@@ -406,7 +429,106 @@ def test_viterbi_tie_breaks_inside_insert_and_delete_states():
     assert viterbi_score(end_tie, seq("ACDW")) == (9.0, 1, 3, 1, 3)
     assert_kernel_matches_reference(insert_tie, "ACCD")
     assert_kernel_matches_reference(delete_tie, "AA")
+    assert_kernel_matches_reference(insert_need_tie, "ACD")
     assert_kernel_matches_reference(end_tie, "ACDW")
+
+
+# Against the uniform background an emission of 0.05 * 2**b scores b bits
+# and a transition of 2**-b scores -b bits, so the II costs below (0 to 3
+# bits, or '*') tie insert emissions exactly. Each out-of-state row is in
+# TRANSITION_ORDER; 0.0 is '*'.
+MATCH_OUT = [(1.0, 0.0, 0.0), (0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5), (0.5, 0.0, 0.5)]
+INSERT_OUT = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.75, 0.25), (0.875, 0.125)]  # IM, II
+DELETE_OUT = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.25, 0.75)]  # DM, DD
+
+
+@st.composite
+def whole_bit_rows(draw, most_bits):
+    """An emission row whose best letter, one of A, C, D or E, scores 0 to
+    most_bits whole bits; the rest share what is left, some of them at 0."""
+    bits = draw(st.integers(0, most_bits))
+    if bits == 0:
+        return UNIFORM_ROW
+    top = 0.05 * 2**bits
+    zeros = draw(st.sampled_from(["", "W", "FGHIKLMNPQ"]))
+    return row_with({draw(st.sampled_from("ACDE")): top} | {r: 0.0 for r in zeros})
+
+
+@st.composite
+def floor_case_profiles(draw):
+    """Profiles that reach every floor case of the kernel: DM, DD, IM and II
+    at probability 1 and at '*', and insert rows whose best emission (0 to
+    3 bits) is below, equal to and above their node's II cost (0 to 3 bits,
+    or '*')."""
+    length = draw(st.integers(1, 6))
+    return profile_from_probs(
+        "Floors",
+        [draw(whole_bit_rows(4)) for _ in range(length)],
+        [draw(whole_bit_rows(3)) for _ in range(length)],
+        [
+            list(draw(st.sampled_from(MATCH_OUT)) + draw(st.sampled_from(INSERT_OUT)) + draw(st.sampled_from(DELETE_OUT)))
+            for _ in range(length)
+        ],
+    )
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(floor_case_profiles(), st.text("ACDEWX", min_size=1, max_size=40))
+def test_viterbi_equals_reference_at_every_floor(hmm, res):
+    # The sequence, and its prefix at the top of the length class below, so
+    # one profile is scored with the constants of two length classes.
+    assert_kernel_matches_reference(hmm, res)
+    if len(res) > 2:
+        assert_kernel_matches_reference(hmm, res[: 1 << (len(res) - 1).bit_length() - 1])
+
+
+def assert_floors_match_least_cost_to_match(hmm, length):
+    """Each packed D and I floor is the largest value whose score is below its
+    node's need, with the need capped at length class * A, which no cell
+    reaches; where an insert chain can climb, the I floor is A - bias, below
+    every cell that matters. Returns the I needs."""
+    p = hmm.packed(length)
+    match, insert, trans = hmm.score_tables()
+    scores = [v for table in (match, insert) for row in table.values() for v in row] + sum(trans, [])
+    a = 1 + max(abs(v) for v in scores if v > -math.inf)
+    cap = (1 << max(length - 1, 1).bit_length()) * a
+    unit = 1 << p.origin_bits
+    mask = (1 << p.field) - 1
+
+    def below(need):
+        return (min(need, cap) + p.bias) * unit - 1
+
+    need_d, need_y = reference_least_cost_to_match(hmm)
+    assert need_d[-1] == math.inf  # the last node's D enters no M
+    # The top field stands for a node past the last: no M cell reaches it.
+    assert p.floor_d >> ((hmm.model_length - 1) * p.field) == below(math.inf)
+    for k, (need, need_i) in enumerate(zip(need_d, need_y), start=1):
+        if k > 1:  # D_k's floor sits at field k - 2; D_1 is never entered
+            floor_d = p.floor_d >> ((k - 2) * p.field) & mask
+            assert floor_d == below(need) < (need + p.bias) * unit, (hmm.name, k)
+        floor_y = p.floor_y >> ((k - 1) * p.field) & mask
+        if need_i is None:
+            assert floor_y == a * unit, (hmm.name, k)
+        else:
+            assert floor_y == below(need_i) < (need_i + p.bias) * unit, (hmm.name, k)
+    return need_y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(floor_case_profiles(), st.integers(1, 300))
+def test_packed_floors_sit_just_below_each_nodes_least_cost_to_match(hmm, length):
+    assert_floors_match_least_cost_to_match(hmm, length)
+
+
+def test_packed_floors_keep_the_old_floor_where_an_insert_chain_climbs(hmm_library):
+    # I_1 of the sink-and-climb profile emits W 4.2 bits above its II cost:
+    # its chain can climb, so it keeps the floor below every cell that
+    # matters. I_2 is the last node's: no emission beats II, and it enters
+    # no M.
+    for length in (1, 41, 300):
+        assert assert_floors_match_least_cost_to_match(sink_and_climb_profile(), length) == [None, math.inf]
+    for hmm in hmm_library:
+        assert_floors_match_least_cost_to_match(hmm, len(MSCL_RESIDUES))
 
 
 def test_score_tables_are_built_on_first_scan_and_kept():
