@@ -7,13 +7,11 @@ recall-based evaluation harness.
 
 __version__ = "0.1.0"
 
-from .seq import FastaRecord, Sequence, parse_fasta, validate_sequence, write_fasta
+from .seq import Sequence, parse_fasta, validate_sequence
 
 __all__ = [
-    "FastaRecord",
     "Sequence",
     "parse_fasta",
     "validate_sequence",
-    "write_fasta",
     "__version__",
 ]

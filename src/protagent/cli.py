@@ -12,7 +12,7 @@ import click
 from . import agent, domains, evaluation, homology
 from .backends import ChatMessage, DecodingParams, HttpChatBackend, ScriptedBackend
 from .config import RunConfig, build_config
-from .errors import ProtAgentError, parse_file, write_json
+from .errors import ProtAgentError, SchemaError, parse_file, write_json
 from .executor import SessionContext, SessionLimits, ToolCall, build_standard_registry, invoke
 from .seq import Sequence, parse_fasta, validate_sequence
 
@@ -41,7 +41,7 @@ def _read_sequence(sequence: str | None, sequence_file: str | None, seq_id: str 
     if sequence and sequence_file:
         raise click.ClickException("give either --sequence or --sequence-file, not both")
     if sequence_file:
-        sequence = parse_file(sequence_file, parse_fasta)[0].sequence.residues
+        sequence = parse_file(sequence_file, parse_fasta)[0].residues
     if not sequence:
         raise click.ClickException("a sequence is required (--sequence or --sequence-file)")
     return validate_sequence(seq_id, sequence)
@@ -63,10 +63,15 @@ def _load_registry(cfg: RunConfig):
 
 def _backend_factory(cfg: RunConfig):
     """Returns a zero-arg callable producing a fresh backend per session."""
-    cfg.validate()
+    if cfg.backend not in ("remote", "scripted"):
+        raise SchemaError(f"backend must be 'remote' or 'scripted', got {cfg.backend!r}")
     if cfg.backend == "remote":
+        if not (cfg.endpoint and cfg.model):
+            raise SchemaError("remote backend requires both endpoint and model")
         backend = HttpChatBackend(cfg.endpoint, cfg.model, api_key_env=cfg.api_key_env)
         return lambda: backend
+    if not cfg.script:
+        raise SchemaError("scripted backend requires a script file")
     turns = ScriptedBackend.from_jsonl(cfg.script).turns  # read once: a bad script fails before any session
     return lambda: ScriptedBackend(turns=turns)
 

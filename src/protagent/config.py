@@ -30,13 +30,10 @@ class RunConfig:
     run_dir: str = "runs"
     workers: int = 1
 
-    def validate(self) -> None:
-        if self.backend not in ("remote", "scripted"):
-            raise SchemaError(f"backend must be 'remote' or 'scripted', got {self.backend!r}")
-        if self.backend == "remote" and not (self.endpoint and self.model):
-            raise SchemaError("remote backend requires both endpoint and model")
-        if self.backend == "scripted" and not self.script:
-            raise SchemaError("scripted backend requires a script file")
+    def __post_init__(self):
+        """Runs whenever a config is built, so every command checks these
+        values; the backend settings are checked where a backend is built
+        (cli._backend_factory)."""
         if self.workers < 1:
             raise SchemaError(f"workers must be >= 1, got {self.workers}")
         if self.max_turns < 1:

@@ -28,9 +28,11 @@ Library format, per record:
     //
 
 All stored values are negative natural logs of probabilities; '*' means
-probability zero. Unrecognized header keys are ignored. The HMM line and the
-transition line name the order of the columns below them, so each must be
-exactly as shown; any other order is refused rather than read as this one.
+probability zero. Unrecognized header keys are ignored; a key (a header
+line's first token) repeated within one record is refused. The HMM line and
+the transition line name the order of the columns below them, so each must
+be exactly as shown; any other order is refused rather than read as this
+one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SchemaError
+from .errors import SchemaError, check_unique
 from .seq import CANONICAL_RESIDUES, Sequence
 
 RESIDUE_ORDER = tuple(sorted(CANONICAL_RESIDUES))
@@ -295,8 +297,13 @@ def parse_hmm_library(text: str) -> list[ProfileHmm]:
             raise SchemaError(f"expected record header at line {i + 1}, got {line!r}")
         i += 1
         header: dict[str, str] = {}
+        first_line: dict[str, str] = {}
         while i < n and lines[i].split() and lines[i].split()[0] != "HMM":
             parts = lines[i].split(None, 1)
+            try:
+                check_unique(first_line, parts[0], f"on line {i + 1}", "header key")
+            except SchemaError as exc:
+                raise SchemaError(f"line {i + 1}: {exc}") from exc
             header[parts[0]] = parts[1].strip() if len(parts) > 1 else ""
             i += 1
         name = header.get("NAME", "?")

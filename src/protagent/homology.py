@@ -35,7 +35,7 @@ from functools import cached_property
 
 from .blosum62 import BLOSUM62
 from .errors import ProtAgentError, SchemaError, check_unique, parse_file, read_json, read_jsonl, to_json, write_json
-from .seq import FastaRecord, Sequence, parse_fasta, validate_sequence
+from .seq import Sequence, parse_fasta, validate_sequence
 
 log = logging.getLogger(__name__)
 
@@ -273,7 +273,7 @@ def build_index(entries: list[ReferenceEntry]) -> ReferenceIndex:
 
 @dataclass(frozen=True)
 class ScoreProfile:
-    """A query packed for local_score: one field of `width` bits per query
+    """A query packed for _score_pass: one field of `width` bits per query
     position, position 0 lowest, the top bit of each field a guard and the
     bit below it headroom.
 
@@ -284,7 +284,7 @@ class ScoreProfile:
     step adds at most 15 to an H cell. The width is the bit length of B + 15
     plus one headroom bit and the guard, so every H, E and F value is below
     2**(width - 2), and the gap scan of _score_pass may add up to
-    2**(width - 3) to one without reaching the guard. local_score is exact on
+    2**(width - 3) to one without reaching the guard. The pass is exact on
     targets of at most `longest` residues.
 
     `bounds[c]` is the most one target residue c can add to an H cell: its
@@ -300,7 +300,7 @@ class ScoreProfile:
 
 
 def score_profile(query: Sequence, longest: int) -> ScoreProfile:
-    """Pack query for local_score against targets of at most longest residues."""
+    """Pack query for _score_pass over targets of at most longest residues."""
     n = query.length
     bound = min(sum(map(_BEST_SCORE.__getitem__, query.residues)), _MAX_SUBSTITUTION * longest)
     width = (bound + _MAX_SUBSTITUTION + _SCORE_BIAS).bit_length() + 2
@@ -427,12 +427,6 @@ def _largest_field(profile: ScoreProfile, packed: int) -> int:
     return packed
 
 
-def local_score(profile: ScoreProfile, target: str) -> int:
-    """The score smith_waterman reports for (query, target), 0 when it reports
-    None: the largest H cell of one packed pass (_score_pass)."""
-    return _largest_field(profile, _score_pass(profile, target)[0])
-
-
 def _trace_back(
     profile: ScoreProfile, query: str, target: str, h_cols: list[int], e_cols: list[int], best: int, peaks: int
 ) -> Alignment:
@@ -520,11 +514,15 @@ def smith_waterman(a: Sequence, b: Sequence) -> Alignment | None:
     BLOSUM62 scores; a gap of length L costs GAP_OPEN + (L-1)*GAP_EXTEND.
     Returns None when no alignment scores above zero.
 
-    Score pass, then traceback: the packed pass of local_score over a's
-    profile keeps, per residue of b, its H column and the E column it used,
-    two ints of len(a) fields; _trace_back then follows the best-scoring end
-    cells through them. The columns take about 2 * width bits per cell
-    (4 MB for 1000 x 1000 random residues, in 15-bit fields).
+    Score pass, then traceback: _score_pass over a's profile keeps, per
+    residue of b, its H column and the E column it used, two ints of len(a)
+    fields; _trace_back then follows the best-scoring end cells through
+    them. The columns take about 2 * width bits per cell (4 MB for
+    1000 x 1000 random residues, in 15-bit fields).
+
+    search_best_hit does not call this: it runs the same two steps itself.
+    This is the one-pair API: the oracle tests check it against the
+    reference alignment, and perfbench/tracing.py wraps it by name.
     """
     profile = score_profile(a, len(b.residues))
     peaks, h_cols, e_cols = _score_pass(profile, b.residues)
@@ -687,31 +685,15 @@ def load_built_store(path: str) -> list[ReferenceEntry]:
     return entries
 
 
-def _unique_records(text: str) -> list[FastaRecord]:
-    """parse_fasta's records; a repeated id is a SchemaError naming both
-    header lines."""
-    records = parse_fasta(text)
-    # parse_fasta makes one record per header line, in order.
-    header_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith(">")]
-    first_line: dict[str, str] = {}
-    for rec, line_no in zip(records, header_lines):
-        try:
-            check_unique(first_line, rec.sequence.id, f"on line {line_no}", "id")
-        except SchemaError as exc:
-            raise SchemaError(f"line {line_no}: {exc}") from exc
-    return records
-
-
 def load_reference_store(fasta_path: str, annotations_path: str) -> list[ReferenceEntry]:
     """Pair a FASTA file with its JSON-lines annotations by accession. A
     repeated FASTA id and a FASTA id without an annotation record are
     SchemaErrors naming the files."""
-    records = parse_file(fasta_path, _unique_records)
+    sequences = parse_file(fasta_path, parse_fasta)
     annotations = load_annotations(annotations_path)
     entries = []
-    for rec in records:
-        acc = rec.sequence.id
-        if acc not in annotations:
-            raise SchemaError(f"{fasta_path}: entry {acc!r} has no annotation record in {annotations_path}")
-        entries.append(ReferenceEntry(accession=acc, sequence=rec.sequence, annotation=annotations[acc]))
+    for s in sequences:
+        if s.id not in annotations:
+            raise SchemaError(f"{fasta_path}: entry {s.id!r} has no annotation record in {annotations_path}")
+        entries.append(ReferenceEntry(accession=s.id, sequence=s, annotation=annotations[s.id]))
     return entries

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SchemaError
+from .errors import SchemaError, check_unique
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 ALPHABET = frozenset(CANONICAL_RESIDUES) | {"X"}
-FASTA_LINE_WIDTH = 60
 
 
 @dataclass(frozen=True)
@@ -41,20 +40,6 @@ class Sequence:
         return len(self.residues)
 
 
-@dataclass(frozen=True)
-class FastaRecord:
-    """One FASTA record: full header text plus the validated sequence."""
-
-    header: str
-    sequence: Sequence
-
-    @property
-    def description(self) -> str:
-        """Free text after the id token, empty if the header is the id alone."""
-        parts = self.header.split(None, 1)
-        return parts[1] if len(parts) > 1 else ""
-
-
 def validate_sequence(seq_id: str, raw: str) -> Sequence:
     """Normalize raw residue text into a Sequence.
 
@@ -67,59 +52,51 @@ def validate_sequence(seq_id: str, raw: str) -> Sequence:
     return Sequence(id=seq_id, residues=cleaned)
 
 
-def parse_fasta(text: str) -> list[FastaRecord]:
-    """Parse FASTA text into records, preserving input order.
+def parse_fasta(text: str) -> list[Sequence]:
+    """Parse FASTA text into sequences, preserving input order.
 
-    The token up to the first whitespace in each header becomes the record
-    id. Sequence lines are concatenated, uppercased, and stripped of
-    internal whitespace. LF and CRLF line endings are both accepted.
+    The token up to the first whitespace in each header becomes the
+    sequence id; the rest of the header is ignored. Sequence lines are
+    concatenated, uppercased, and stripped of internal whitespace. LF and
+    CRLF line endings are both accepted, and lines are numbered from 1 as a
+    text editor numbers them. An id that two headers share is a SchemaError
+    naming both lines.
     """
     if not text.strip():
         raise SchemaError("FASTA input is empty")
 
-    records: list[FastaRecord] = []
-    header: str | None = None
+    records: list[Sequence] = []
+    first_line: dict[str, str] = {}
+    seq_id: str | None = None
     chunks: list[str] = []
 
-    def flush(line_no: int):
-        if header is None:
+    def flush():
+        if seq_id is None:
             return
-        trimmed = header.strip()
-        if not trimmed:
-            raise SchemaError(f"empty FASTA header before line {line_no}")
-        seq_id = trimmed.split()[0]
-        body = "".join(chunks)
-        if not body:
+        if not chunks:
             raise SchemaError(f"FASTA record {seq_id!r} has an empty body")
-        records.append(FastaRecord(header=trimmed, sequence=Sequence(seq_id, body)))
+        records.append(Sequence(seq_id, "".join(chunks)))
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\r")
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line.startswith(">"):
-            flush(line_no)
-            header = line[1:]
-            chunks = []
+            flush()
+            tokens = line[1:].split(None, 1)
+            if not tokens:
+                raise SchemaError(f"empty FASTA header at line {line_no}")
+            seq_id, chunks = tokens[0], []
+            try:
+                check_unique(first_line, seq_id, f"on line {line_no}", "id")
+            except SchemaError as exc:
+                raise SchemaError(f"line {line_no}: {exc}") from exc
         else:
             stripped = "".join(line.split()).upper()
             if not stripped:
                 continue
-            if header is None:
+            if seq_id is None:
                 raise SchemaError(f"sequence data before any header at line {line_no}")
             for c in stripped:
                 if c not in ALPHABET:
                     raise SchemaError(f"invalid residue {c!r} at line {line_no}")
             chunks.append(stripped)
-    flush(line_no=len(text.splitlines()) + 1)
+    flush()
     return records
-
-
-def write_fasta(records: list[FastaRecord]) -> str:
-    """Serialize records back to FASTA text (inverse of parse_fasta), with
-    FASTA_LINE_WIDTH residues per line."""
-    out = []
-    for rec in records:
-        out.append(f">{rec.header}")
-        res = rec.sequence.residues
-        for i in range(0, len(res), FASTA_LINE_WIDTH):
-            out.append(res[i : i + FASTA_LINE_WIDTH])
-    return "\n".join(out) + "\n"

@@ -427,8 +427,13 @@ def test_non_utf8_input_file_is_a_message(runner, tmp_path, args):
          "expected record header at line 1"),
         (["index", "build", "--fasta", "{bad}", "--annotations", data_path("store.annotations.jsonl"),
           "--out", "{tmp}/store.json"], ">A1\nML1V\n", "invalid residue '1' at line 2"),
+        (["tools", "run", "seq_basic_props", "--sequence-file", "{bad}"], ">q1\nMLKV\n\n>q1 again\nWY\n",
+         "line 4: duplicate id 'q1' (first on line 1)"),
+        (["tools", "run", "pfam_hmmscan", "--sequence", MSCL_RESIDUES, "--hmm-library", "{bad}"],
+         "HMMER3/f x\nNAME  A\nNAME  B\n", "line 3: duplicate header key 'NAME' (first on line 2)"),
     ],
-    ids=["sequence-file", "hmm-library", "index-build-fasta"],
+    ids=["sequence-file", "hmm-library", "index-build-fasta", "sequence-file-repeated-id",
+         "hmm-library-repeated-key"],
 )
 def test_malformed_text_input_names_the_file(runner, tmp_path, args, text, message):
     bad = tmp_path / "bad.txt"
@@ -499,6 +504,43 @@ def assert_error_message(result, text):
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.output.startswith("Error: ") and text in result.output, result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ask", "--question", "Q?", "--sequence", "MLKV", "--script", data_path("direct_replies.jsonl")],
+        bench_args(data_path("cases.jsonl"), data_path("replay.jsonl"), "{tmp}/run"),
+        ["tools", "run", "seq_basic_props", "--sequence", "MLKV"],
+        ["synth", "--cases", data_path("cases.jsonl"), "--out", "{tmp}/p.jsonl"],
+    ],
+    ids=["ask", "bench", "tools-run", "synth"],
+)
+def test_every_command_checks_config_values(runner, tmp_path, args):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("workers = 0\n")
+    result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args] + ["--config", str(cfg)])
+    assert_error_message(result, "workers must be >= 1, got 0")
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ("backend = local\n", [], "backend must be 'remote' or 'scripted', got 'local'"),
+        ("", ["--backend", "remote", "--model", "m"], "remote backend requires both endpoint and model"),
+        ("", ["--backend", "scripted"], "scripted backend requires a script file"),
+    ],
+    ids=["unknown-backend", "remote-without-endpoint", "scripted-without-script"],
+)
+def test_backend_settings_are_checked_where_a_backend_is_built(runner, tmp_path, config, flags, message):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(config)
+    args = ["ask", "--question", "Q?", "--sequence", "MLKV", "--config", str(cfg)] + flags
+    assert_error_message(runner.invoke(main, args), message)
+    # A command that builds no backend does not read these settings.
+    result = runner.invoke(main, ["tools", "run", "seq_basic_props", "--sequence", "MLKV", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
 
 
 def test_bench_unscorable_reference_is_a_message_before_any_session(runner, tmp_path):

@@ -9,6 +9,7 @@ from protagent.errors import SchemaError
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("workers", 0),
         ("max_turns", 0),
         ("max_turns", -3),
         ("max_tokens", 0),
@@ -17,24 +18,23 @@ from protagent.errors import SchemaError
         ("temperature", math.nan),
         ("temperature", math.inf),
     ],
-    ids=["max_turns-0", "max_turns-negative", "max_tokens-0", "tool_budget-negative", "temperature-negative",
+    ids=["workers-0", "max_turns-0", "max_turns-negative", "max_tokens-0", "tool_budget-negative", "temperature-negative",
          "temperature-nan", "temperature-inf"],
 )
 def test_out_of_range_value_is_config_error(field, value):
-    cfg = build_config(None, script="script.jsonl", **{field: value})
     with pytest.raises(SchemaError, match=f"{field} must be"):
-        cfg.validate()
+        build_config(None, **{field: value})
 
 
 def test_smallest_allowed_values_validate():
-    build_config(None, script="script.jsonl", max_turns=1, max_tokens=1, tool_budget=0, temperature=0.0).validate()
+    build_config(None, workers=1, max_turns=1, max_tokens=1, tool_budget=0, temperature=0.0)
 
 
 def test_out_of_range_value_in_config_file_is_config_error(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("script = s.jsonl\ntemperature = nan\n")
     with pytest.raises(SchemaError, match="temperature must be a finite number >= 0, got nan"):
-        build_config(str(path)).validate()
+        build_config(str(path))
 
 
 def test_repeated_config_key_names_both_lines(tmp_path):

@@ -80,6 +80,29 @@ def test_parse_rejects_non_numeric_value():
         parse_hmm_library(text)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["NAME  Again"], "line 367: duplicate header key 'NAME' (first on line 363)"),
+        (["LENG  28"], "line 367: duplicate header key 'LENG' (first on line 366)"),
+        (["DESC  another"], "line 367: duplicate header key 'DESC' (first on line 365)"),
+        # A header key is a line's first token, so two STATS lines repeat one.
+        (["STATS LOCAL MSV -9.0 0.7", "STATS LOCAL VITERBI -9.5 0.7"],
+         "line 368: duplicate header key 'STATS' (first on line 367)"),
+    ],
+    ids=["NAME", "LENG", "DESC", "STATS"],
+)
+def test_parse_rejects_repeated_header_key(rows, message):
+    # Rows go in before ToyDom1's ALPH line, line 367. Every record of the
+    # bundled library has the same keys: only a repeat within one record's
+    # header is refused.
+    lines = library_text().split("\n")
+    assert lines[366] == "ALPH  amino"
+    lines[366:366] = rows
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse_hmm_library("\n".join(lines))
+
+
 def test_parse_rejects_junk_header():
     with pytest.raises(SchemaError, match="expected record header at line 1, got 'WHAT IS THIS'"):
         parse_hmm_library("WHAT IS THIS\n")

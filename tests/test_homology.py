@@ -37,7 +37,6 @@ from protagent.homology import (
     bit_score,
     load_annotations,
     load_built_store,
-    local_score,
     make_evidence,
     save_built_store,
     score_profile,
@@ -275,13 +274,18 @@ def test_alignment_equals_scalar_kernel_on_long_ties(a, b):
 # --- bit-parallel score pass ------------------------------------------------
 
 
+def packed_score(profile, target: str) -> int:
+    """The largest H cell of one packed pass of profile over target."""
+    return homology._largest_field(profile, homology._score_pass(profile, target)[0])
+
+
 def assert_score_matches_reference(a: str, b: str) -> int:
-    """local_score with either sequence packed equals the reference
+    """packed_score with either sequence packed equals the reference
     alignment's score (0 for None); returns that score."""
     ref = reference_smith_waterman(seq(a, "q"), seq(b, "t"))
     want = ref.score if ref else 0
-    assert local_score(score_profile(seq(a, "q"), len(b)), b) == want, (a, b)
-    assert local_score(score_profile(seq(b, "q"), len(a)), a) == want, (b, a)
+    assert packed_score(score_profile(seq(a, "q"), len(b)), b) == want, (a, b)
+    assert packed_score(score_profile(seq(b, "q"), len(a)), a) == want, (b, a)
     return want
 
 
@@ -353,7 +357,7 @@ def test_score_fills_the_widest_field():
     w = "W" * 3000
     profile = score_profile(seq(w), len(w))
     assert profile.width == 18
-    assert local_score(profile, w) == 33000
+    assert packed_score(profile, w) == 33000
 
 
 @given(st.one_of(st.tuples(medium_st, medium_st), tie_heavy_pairs()))
@@ -428,7 +432,7 @@ def test_self_alignment_scores_the_bound_at_width_edges(k, over):
     q = seq(residues_scoring(rng, bound), "q")
     profile = score_profile(q, q.length)
     assert 2 ** (profile.width - 3) <= bound + 15 < 2 ** (profile.width - 2)
-    assert local_score(profile, q.residues) == bound
+    assert packed_score(profile, q.residues) == bound
     assert smith_waterman(q, q) == Alignment(bound, 1, q.length, 1, q.length, q.length, q.length)
 
 

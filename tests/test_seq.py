@@ -3,14 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from protagent.errors import SchemaError
-from protagent.seq import (
-    CANONICAL_RESIDUES,
-    FastaRecord,
-    Sequence,
-    parse_fasta,
-    validate_sequence,
-    write_fasta,
-)
+from protagent.seq import CANONICAL_RESIDUES, parse_fasta, validate_sequence
 
 residues_st = st.text(alphabet=CANONICAL_RESIDUES + "X", min_size=1, max_size=200)
 
@@ -39,15 +32,14 @@ def test_validate_rejects_bad_residue():
 
 def test_parse_fasta_basic():
     records = parse_fasta(">acc1 some description\nMLKV\nACDE\n>acc2\nWY\n")
-    assert [r.sequence.id for r in records] == ["acc1", "acc2"]
-    assert records[0].sequence.residues == "MLKVACDE"
-    assert records[0].description == "some description"
-    assert records[1].sequence.residues == "WY"
+    assert [r.id for r in records] == ["acc1", "acc2"]
+    assert records[0].residues == "MLKVACDE"
+    assert records[1].residues == "WY"
 
 
 def test_parse_fasta_crlf_and_lowercase():
     records = parse_fasta(">a\r\nmlk\r\nv\r\n")
-    assert records[0].sequence.residues == "MLKV"
+    assert records[0].residues == "MLKV"
 
 
 def test_parse_fasta_rejects_empty_input():
@@ -70,20 +62,46 @@ def test_invalid_residue_reports_line():
         parse_fasta(">a\nML1V\n")
 
 
-def test_write_fasta_wraps_lines():
-    seq = Sequence(id="a", residues="A" * 130)
-    text = write_fasta([FastaRecord(header="a long one", sequence=seq)])
-    lines = text.splitlines()
-    assert lines[0] == ">a long one"
-    assert [len(l) for l in lines[1:]] == [60, 60, 10]
+# Ids drawn from a few fixed ones repeat often; the regex adds variety.
+ids_st = st.one_of(st.sampled_from(["A1", "a1", "P12345"]), st.from_regex(r"[A-Za-z0-9_.]{1,12}", fullmatch=True))
 
 
-@given(st.lists(st.tuples(st.from_regex(r"[A-Za-z0-9_.]{1,12}", fullmatch=True), residues_st), min_size=1, max_size=5))
-def test_fasta_round_trip(pairs):
-    records = [
-        FastaRecord(header=f"{hid} desc", sequence=Sequence(id=hid, residues=res))
-        for hid, res in pairs
-    ]
-    reparsed = parse_fasta(write_fasta(records))
-    assert [r.sequence.residues for r in reparsed] == [r.sequence.residues for r in records]
-    assert [r.sequence.id for r in reparsed] == [r.sequence.id for r in records]
+@st.composite
+def fasta_texts(draw):
+    """FASTA text of one to five records, with wrapped bodies, blank lines,
+    descriptions and a mix of LF and CRLF endings; returned with each
+    record's (id, residues) and the line of each header, counted as a text
+    editor counts them: one more than the newlines before it."""
+    text, records, header_lines = "", [], []
+
+    def add(line):
+        nonlocal text
+        text += line + draw(st.sampled_from(["\n", "\r\n"]))
+
+    for _ in range(draw(st.integers(1, 5))):
+        sid, res = draw(ids_st), draw(residues_st)
+        for _ in range(draw(st.integers(0, 2))):
+            add("")
+        header_lines.append(text.count("\n") + 1)
+        add(">" + sid + draw(st.sampled_from(["", " desc", "\tmore words"])))
+        width = draw(st.integers(1, 80))
+        for i in range(0, len(res), width):
+            add(res[i : i + width])
+            if draw(st.booleans()):
+                add("")
+        records.append((sid, res))
+    return text, records, header_lines
+
+
+@given(fasta_texts())
+def test_fasta_round_trip(case):
+    text, records, header_lines = case
+    ids = [sid for sid, _ in records]
+    repeat = next((j for j, sid in enumerate(ids) if sid in ids[:j]), None)
+    if repeat is None:
+        assert [(s.id, s.residues) for s in parse_fasta(text)] == records
+        return
+    first = header_lines[ids.index(ids[repeat])]
+    with pytest.raises(SchemaError) as exc:
+        parse_fasta(text)
+    assert str(exc.value) == f"line {header_lines[repeat]}: duplicate id {ids[repeat]!r} (first on line {first})"
